@@ -3,14 +3,16 @@
 The default route is deletion-contraction memoized on a canonical
 lower-triangular adjacency encoding; a subset dynamic program over
 independent sets provides an independent second route, and brute-force
-coloring counters a third.  All arithmetic is exact.
+coloring counters (one backtracking enumerator) a third.  All arithmetic
+is exact.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .config import DEFAULT_BUDGET, Budget
 from .errors import (
@@ -22,6 +24,7 @@ from .errors import (
 )
 from .graphs import Graph, blowup, independence_table, is_clique, iter_vertices, vset
 from .polynomials import BivariatePoly, Poly
+from .subsets import convolve, power
 
 DELCON_MAX_VERTICES = 30
 
@@ -96,36 +99,25 @@ def _chrom_delcon(adj: tuple[int, ...], memo: dict, budget: Budget) -> tuple[int
 
 def _chromatic_subset_dp(G: Graph) -> Poly:
     """Chromatic polynomial as sum over k of (partitions of the vertex set
-    into k nonempty independent blocks) times q falling k."""
-    indep = independence_table(G)
+    into k nonempty independent blocks) times q falling k.
+
+    The k-block table is the anchored product of the (k-1)-block table with
+    the nonempty independent sets, so each partition is counted once."""
     n = G.n
-    size = 1 << n
-    full = size - 1
-    prev = [0] * size
-    prev[0] = 1
+    if n == 0:
+        return Poly.one()
+    blocks = list(independence_table(G))
+    blocks[0] = 0
+    full = G.full_mask
     poly = Poly.zero()
     ff = Poly.one()
+    cur = blocks
     for k in range(1, n + 1):
-        cur = [0] * size
-        for V in range(1, size):
-            low = V & -V
-            rest = V ^ low
-            s = 0
-            U = rest
-            while True:
-                cand = U | low
-                if indep[cand]:
-                    s += prev[V ^ cand]
-                if U == 0:
-                    break
-                U = (U - 1) & rest
-            cur[V] = s
+        if k > 1:
+            cur = convolve(cur, blocks, n, anchored=True)
         ff = ff * Poly((-(k - 1), 1))
         if cur[full]:
             poly = poly + cur[full] * ff
-        prev = cur
-    if n == 0:
-        poly = Poly.one()
     return poly
 
 
@@ -158,57 +150,63 @@ def chromatic_polynomial(
     raise ValueError(f"unknown method {method!r}")
 
 
+def enumerate_colorings(
+    G: Graph, options: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every choice of one option per vertex in which adjacent vertices pick
+    disjoint options, by backtracking.
+
+    options[v-1] lists the options of vertex v, each the bitmask of the
+    colors it occupies: one bit for a proper color, 0 for a free color, m_v
+    bits for a set of m_v colors.  Choices come out as tuples of masks,
+    vertex 1 first, in the lexicographic order of the option lists.
+    """
+    n = G.n
+    if len(options) != n:
+        raise VertexOutOfRange(f"{len(options)} option lists for {n} vertices")
+    if n == 0:
+        yield ()
+        return
+    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
+    chosen = [0] * n
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        used = 0
+        low = lower[i]
+        while low:
+            b = low & -low
+            used |= chosen[b.bit_length() - 1]
+            low ^= b
+        last = i + 1 == n
+        for mask in options[i]:
+            if not mask & used:
+                chosen[i] = mask
+                if last:
+                    yield tuple(chosen)
+                else:
+                    yield from rec(i + 1)
+
+    yield from rec(0)
+
+
 def count_proper_colorings(G: Graph, q: int) -> int:
     """Brute-force count of proper colorings with colors 1..q."""
     if q < 0:
         raise VertexOutOfRange("color count must be nonnegative")
-    n = G.n
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    colors = [0] * n
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for c in range(1, q + 1):
-            ok = True
-            m = lower[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                if colors[j] == c:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok:
-                colors[i] = c
-                total += rec(i + 1)
-        colors[i] = 0
-        return total
-    return rec(0)
+    return sum(1 for _ in enumerate_colorings(G, [[1 << c for c in range(q)]] * G.n))
 
 
 def count_independent_tuples(G: Graph, q: int) -> int:
     """Ordered q-tuples of pairwise disjoint independent sets covering V.
 
-    Equals the chromatic polynomial at q; computed by subset recursion so
-    it is an oracle independent of both polynomial routes.
+    Equals the chromatic polynomial at q.  It is the q-th subset-convolution
+    power of the independence table, so it shares the subset kernel with
+    the subset_dp route: it is an oracle independent of deletion-contraction
+    only, and must not be compared with subset_dp.
     """
-    indep = independence_table(G)
-    @lru_cache(maxsize=None)
-    def count(V: int, k: int) -> int:
-        if k == 0:
-            return 1 if V == 0 else 0
-        s = 0
-        U = V
-        while True:
-            if indep[U]:
-                s += count(V ^ U, k - 1)
-            if U == 0:
-                break
-            U = (U - 1) & V
-        return s
-    result = count(G.full_mask, q)
-    count.cache_clear()
-    return result
+    if q < 0:
+        raise VertexOutOfRange("color count must be nonnegative")
+    return power(list(independence_table(G)), q, G.n)[G.full_mask]
 
 
 def chi_hat(G: Graph, d: int, budget: Budget = DEFAULT_BUDGET) -> Poly:
@@ -263,29 +261,10 @@ def bivariate_polynomial(G: Graph, budget: Budget = DEFAULT_BUDGET) -> Bivariate
 def count_bivariate_colorings(G: Graph, q: int, r: int) -> int:
     """Brute-force count of maps into q proper plus r free colors where
     adjacent vertices never share a proper color."""
-    n = G.n
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    colors = [0] * n
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for c in range(1, q + r + 1):
-            ok = True
-            if c <= q:
-                m = lower[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    if colors[j] == c:
-                        ok = False
-                        break
-                    m &= m - 1
-            if ok:
-                colors[i] = c
-                total += rec(i + 1)
-        colors[i] = 0
-        return total
-    return rec(0)
+    if q < 0 or r < 0:
+        raise VertexOutOfRange("color counts must be nonnegative")
+    options = [1 << c for c in range(q)] + [0] * r
+    return sum(1 for _ in enumerate_colorings(G, [options] * G.n))
 
 
 def multicolor_polynomial(
@@ -318,32 +297,5 @@ def multicolor_polynomial(
 def count_multicolorings(G: Graph, m: Sequence[int], q: int) -> int:
     """Brute-force count of assignments of an m_v-subset of 1..q to each
     vertex v with adjacent vertices receiving disjoint sets."""
-    from itertools import combinations
-
-    if len(m) != G.n:
-        raise VertexOutOfRange("multiplicity vector length mismatch")
-    n = G.n
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    chosen: list[int] = [0] * n
-    subsets = [
-        [vset(c) for c in combinations(range(1, q + 1), mult)] for mult in m
-    ]
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for s in subsets[i]:
-            ok = True
-            mm = lower[i]
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                if chosen[j] & s:
-                    ok = False
-                    break
-                mm &= mm - 1
-            if ok:
-                chosen[i] = s
-                total += rec(i + 1)
-        chosen[i] = 0
-        return total
-    return rec(0)
+    options = [[vset(c) for c in combinations(range(1, q + 1), mult)] for mult in m]
+    return sum(1 for _ in enumerate_colorings(G, options))

@@ -20,7 +20,7 @@ from .chromatic import bivariate_polynomial, chi_hat, chromatic_polynomial
 from .config import DEFAULT_BUDGET, Budget
 from .errors import ChromheapError
 from .graphs import Graph, load_graph
-from .orientations import acyclic_orientation_list, source_component_histogram
+from .orientations import source_component_histogram
 from .reciprocity import (
     check_bivariate_reciprocity,
     check_clique_quotient_reciprocity,
@@ -32,7 +32,7 @@ from .reciprocity import (
 )
 from .reports import IdentityReport, ReciprocityReport
 from .selfcheck import run_selfcheck
-from .series import heap_series, pyramid_series, trivial_series, verify_heap_identities
+from .series import check_heap_identities, heap_series_triple
 from .symfunc import (
     combined_sides,
     csf_powersum,
@@ -77,13 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", metavar="PATH", help="graph file: first line n, then 'u v' per edge")
     common.add_argument("--mode", choices=("json", "table"), default="json")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="parallelism degree; output is byte-identical for any value",
-    )
     common.add_argument(
         "--budget",
         action="append",
@@ -218,11 +211,10 @@ def _cmd_bivariate(args, budget: Budget) -> tuple[int, dict]:
 
 def _cmd_orientations(args, budget: Budget) -> tuple[int, dict]:
     g = _require_graph(args)
-    orientations = acyclic_orientation_list(g)
     hist = source_component_histogram(g)
     return 0, {
         "graph": _graph_summary(g),
-        "acyclic_count": str(len(orientations)),
+        "acyclic_count": str(sum(hist.values())),
         "by_source_components": {str(i): str(c) for i, c in sorted(hist.items())},
     }
 
@@ -230,13 +222,14 @@ def _cmd_orientations(args, budget: Budget) -> tuple[int, dict]:
 def _cmd_heaps(args, budget: Budget) -> tuple[int, dict]:
     g = _require_graph(args)
     bound = args.D
-    report = verify_heap_identities(g, bound, budget)
+    trivial, heap, pyramid = heap_series_triple(g, bound, budget)
+    report = check_heap_identities(g, trivial, heap, pyramid, budget)
     payload = {
         "graph": _graph_summary(g),
         "bound": bound,
-        "trivial": trivial_series(g, bound, budget).to_json_list(),
-        "heap": heap_series(g, bound, budget).to_json_list(),
-        "pyramid": pyramid_series(g, bound, budget).to_json_list(),
+        "trivial": trivial.to_json_list(),
+        "heap": heap.to_json_list(),
+        "pyramid": pyramid.to_json_list(),
         "identities": report.to_json_dict(),
     }
     return (0 if report.equal else 1), payload
@@ -313,8 +306,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on -h
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
         budget = _parse_budget(args.budget)
         code, payload = _COMMANDS[args.command](args, budget)
     except (ChromheapError, ValueError, OSError) as exc:

@@ -6,14 +6,15 @@ with u < v is oriented u -> v, bit e set means v -> u.  Orientation
 equality and ordering therefore compare direction bits in the canonical
 edge order of the host graph.
 
-The two 2^n tables computed here drive every fast counting path:
+The two 2^n tables computed here drive every fast counting path.  With
+t[U] = (-1)^|U| for independent U and 0 otherwise, both are triangular
+solves over the subset lattice (subsets.solve):
 
-* a[V] = number of acyclic orientations of G[V], via the subset
-  recurrence  sum over independent U subset of V of (-1)^|U| a[V \\ U]
-  = [V is empty];
+* a[V] = number of acyclic orientations of G[V], from
+  sum over U subset of V of t[U] a[V \\ U] = [V is empty];
 * b[V] = number of acyclic orientations of G[V] whose unique source is
-  min(V), via the same recurrence restricted to U avoiding min(V), with
-  a correction term for V itself independent.
+  min(V), from the same sum restricted to U avoiding min(V), set equal
+  to -t[V] for nonempty V.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .graphs import (
     vset_min,
     vset_tuple,
 )
+from .subsets import identity, solve
 
 MAX_ENUM_EDGES = 26
 
@@ -268,51 +270,25 @@ def is_descent_free(G: Graph, o: Orientation, coloring: Sequence[int]) -> bool:
 # subset tables
 
 
+def _signed_independents(G: Graph) -> list[int]:
+    """t[U] = (-1)^|U| if U is independent, else 0; enforces the n <= 22 cap."""
+    indep = independence_table(G)
+    return [(-1 if U.bit_count() & 1 else 1) if indep[U] else 0 for U in range(1 << G.n)]
+
+
 def acyclic_count_table(G: Graph) -> list[int]:
     """a[V] = number of acyclic orientations of G[V], for every mask V."""
-    indep = independence_table(G)  # enforces the n <= 22 cap
-    size = 1 << G.n
-    a = [0] * size
-    a[0] = 1
-    for V in range(1, size):
-        odd = 0
-        even = 0
-        U = V
-        while U:
-            if indep[U]:
-                if U.bit_count() & 1:
-                    odd += a[V ^ U]
-                else:
-                    even += a[V ^ U]
-            U = (U - 1) & V
-        a[V] = odd - even
-    return a
+    t = _signed_independents(G)
+    return solve(t, identity(G.n), G.n)
 
 
 def unique_source_min_table(G: Graph) -> list[int]:
     """b[V] = acyclic orientations of G[V] whose unique source is min(V);
     b of the empty set is 0."""
-    indep = independence_table(G)
-    size = 1 << G.n
-    b = [0] * size
-    for V in range(1, size):
-        low = V & -V
-        rest = V ^ low
-        odd = 0
-        even = 0
-        U = rest
-        while U:
-            if indep[U]:
-                if U.bit_count() & 1:
-                    odd += b[V ^ U]
-                else:
-                    even += b[V ^ U]
-            U = (U - 1) & rest
-        val = odd - even
-        if indep[V]:
-            val += 1 if V.bit_count() & 1 else -1
-        b[V] = val
-    return b
+    t = _signed_independents(G)
+    rhs = [-x for x in t]
+    rhs[0] = 0
+    return solve(t, rhs, G.n, anchored=True)
 
 
 def count_bipolar(G: Graph, u: int, v: int) -> int:

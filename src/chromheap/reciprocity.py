@@ -48,35 +48,23 @@ from .orientations import (
     unique_source_min_table,
 )
 from .reports import ReciprocityReport
+from .subsets import convolve, identity, power
 
 DP_MAX_VERTICES = 14
 NAIVE_MAX_VERTICES = 5
 
 
-def _identity_table(n: int) -> list[int]:
-    out = [0] * (1 << n)
-    out[0] = 1
-    return out
-
-
-def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
-    """Subset convolution h[V] = sum over U subset of V of f[U] g[V\\U]."""
-    size = 1 << n
-    out = [0] * size
-    for V in range(size):
-        s = 0
-        U = V
-        while True:
-            fu = f[U]
-            if fu:
-                gv = g[V ^ U]
-                if gv:
-                    s += fu * gv
-            if U == 0:
-                break
-            U = (U - 1) & V
-        out[V] = s
-    return out
+def _block_tuples(n: int, factors: list[tuple[list[int], int]]) -> list[int]:
+    """Table of ordered tuples made of k_1 blocks counted by f_1, then k_2
+    blocks counted by f_2, and so on, for the (f, k) pairs in factors: the
+    subset convolution of the powers f^k.  Powers with k = 0 are skipped,
+    so their identity tables are never convolved."""
+    out = None
+    for f, k in factors:
+        if k:
+            p = power(f, k, n)
+            out = p if out is None else convolve(out, p, n)
+    return identity(n) if out is None else out
 
 
 def _sign(k: int) -> int:
@@ -105,16 +93,9 @@ def check_derivative_reciprocity(
     full = G.full_mask
     strata = None
     if i == 0:
-        cur = _identity_table(n)
-        for _ in range(j):
-            cur = _convolve(cur, a, n)
-        count = cur[full]
+        count = power(a, j, n)[full]
     else:
-        rest = _identity_table(n)
-        for _ in range(i - 1):
-            rest = _convolve(rest, b, n)
-        for _ in range(j):
-            rest = _convolve(rest, a, n)
+        rest = _block_tuples(n, [(b, i - 1), (a, j)])
         strata = {}
         count = 0
         for V1 in range(1 << n):
@@ -313,15 +294,11 @@ def check_clique_quotient_reciprocity(
         raise VertexOutOfRange("d, i, j must be nonnegative")
     a = acyclic_count_table(G)
     b = unique_source_min_table(G)
-    cur = _identity_table(n)
-    for t in range(1, d + 1):
-        pinned = [b[V] if V >> (t - 1) & 1 else 0 for V in range(1 << n)]
-        cur = _convolve(cur, pinned, n)
-    for _ in range(i):
-        cur = _convolve(cur, b, n)
-    for _ in range(j):
-        cur = _convolve(cur, a, n)
-    count = cur[G.full_mask]
+    pinned = [
+        ([b[V] if V >> (t - 1) & 1 else 0 for V in range(1 << n)], 1)
+        for t in range(1, d + 1)
+    ]
+    count = _block_tuples(n, pinned + [(b, i), (a, j)])[G.full_mask]
     quotient = chi_hat(G, d, budget=budget)
     poly_side = _sign(n - d - i) * quotient.derivative(i).evaluate(-j)
     return ReciprocityReport(
@@ -397,12 +374,7 @@ def check_bivariate_reciprocity(
         raise VertexOutOfRange("j and k must be nonnegative")
     a = acyclic_count_table(G)
     ones = [1] * (1 << n)
-    cur = _identity_table(n)
-    for _ in range(j):
-        cur = _convolve(cur, a, n)
-    for _ in range(k):
-        cur = _convolve(cur, ones, n)
-    count = cur[G.full_mask]
+    count = _block_tuples(n, [(a, j), (ones, k)])[G.full_mask]
     poly = bivariate_polynomial(G, budget=budget)
     poly_side = _sign(n) * poly.evaluate(-j, -k)
     return ReciprocityReport(

@@ -353,10 +353,33 @@ def direct_restricted_count(G: Graph, S: int | Iterable[int], m: Sequence[int]) 
     return count
 
 
+def heap_series_triple(
+    G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """(T, H, P): T built once, H = 1 / T(-x) by series inversion and
+    P = -log T(-x) by series logarithm."""
+    trivial = trivial_series(G, bound, budget)
+    t_neg = trivial.substitute_neg()
+    return trivial, t_neg.reciprocal(), -(t_neg.log())
+
+
 def verify_heap_identities(
     G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    """Check the series identities up to the degree bound.
+    """Check the series identities up to the degree bound (see
+    check_heap_identities)."""
+    return check_heap_identities(G, *heap_series_triple(G, bound, budget), budget)
+
+
+def check_heap_identities(
+    G: Graph,
+    trivial: TruncatedSeries,
+    H: TruncatedSeries,
+    P: TruncatedSeries,
+    budget: Budget = DEFAULT_BUDGET,
+) -> IdentityReport:
+    """Check the series identities for T, H and P as heap_series_triple
+    builds them, up to their degree bound.
 
     Always: H * T(-x) = 1 and exp(P) = H (H built by series inversion,
     P by series logarithm, so the exp comparison crosses two independent
@@ -368,9 +391,8 @@ def verify_heap_identities(
     """
     from .orientations import subgraph_source_mask_tally
 
-    t_neg = trivial_series(G, bound, budget).substitute_neg()
-    H = t_neg.reciprocal()
-    P = -(t_neg.log())
+    bound = trivial.bound
+    t_neg = trivial.substitute_neg()
     failures = []
     one = TruncatedSeries.constant(G.n, bound)
     if H * t_neg != one:

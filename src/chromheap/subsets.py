@@ -1,0 +1,91 @@
+"""Sums over the subset lattice of a vertex set.
+
+A table is a list of length 2^n indexed by vertex masks.  The product of
+two tables is the subset convolution
+
+    (f * g)[V] = sum over U subset of V of f[U] g[V \\ U],
+
+so a k-fold product counts ordered k-tuples of pairwise disjoint blocks
+covering V, each block weighted by its own table.  The anchored product
+keeps only the terms where min(V) lies in the g-block, so repeated
+anchored products count tuples whose blocks come in decreasing order of
+their minima: each unordered partition once.
+
+Every subset-lattice sum in the package goes through these functions.
+One full table costs 3^n steps, an anchored one about half as many.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+
+def identity(n: int) -> list[int]:
+    """The unit of the product: 1 at the empty set, 0 elsewhere."""
+    out = [0] * (1 << n)
+    out[0] = 1
+    return out
+
+
+def convolve(
+    f: Sequence[int], g: Sequence[int], n: int, anchored: bool = False
+) -> list[int]:
+    """h[V] = sum over U subset of V of f[U] g[V \\ U]; with anchored, U
+    ranges only over subsets of V minus min(V)."""
+    if not anchored and f.count(0) > g.count(0):
+        # the plain product is symmetric: look up the sparser table first,
+        # so that its zeros skip the second lookup
+        f, g = g, f
+    size = 1 << n
+    out = [0] * size
+    for V in range(size):
+        rest = V ^ (V & -V) if anchored else V
+        s = 0
+        U = rest
+        while True:
+            y = g[V ^ U]
+            if y:
+                x = f[U]
+                if x:
+                    s += x * y
+            if not U:
+                break
+            U = (U - 1) & rest
+        out[V] = s
+    return out
+
+
+def solve(
+    f: Sequence[int], rhs: Sequence[int], n: int, anchored: bool = False
+) -> list[int]:
+    """The table h with convolve(f, h, n, anchored) == rhs; needs f[empty] = 1."""
+    if f[0] != 1:
+        raise ValueError("solve needs f[empty set] = 1")
+    size = 1 << n
+    h = [0] * size
+    for V in range(size):
+        rest = V ^ (V & -V) if anchored else V
+        s = rhs[V]
+        U = rest
+        while U:
+            x = f[U]
+            if x:
+                s -= x * h[V ^ U]
+            U = (U - 1) & rest
+        h[V] = s
+    return h
+
+
+def power(f: Sequence[int], k: int, n: int) -> list[int]:
+    """k-fold product of f by repeated squaring; k = 0 gives the identity
+    table (1 at the empty set), and no product involves it."""
+    if k < 0:
+        raise ValueError(f"power needs k >= 0, got {k}")
+    result = None
+    base = list(f)
+    while k:
+        if k & 1:
+            result = base if result is None else convolve(result, base, n)
+        k >>= 1
+        if k:
+            base = convolve(base, base, n)
+    return identity(n) if result is None else result

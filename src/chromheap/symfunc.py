@@ -14,12 +14,14 @@ for y, zero for the block weighted in the primed alphabet, positive for z).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
+from .chromatic import enumerate_colorings
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import (
     InternalInvariantViolation,
@@ -413,6 +415,15 @@ def expand_finite(X: PPoly, N: int) -> MultiPoly:
     return substitute_power_sums(X, N, lambda k: MultiPoly.power_sum(N, k, 0, N))
 
 
+def _color_count_tally(G: Graph, options: Sequence[Sequence[int]], N: int) -> MultiPoly:
+    """Sum over the colorings of enumerate_colorings of prod_c z_c^(number
+    of vertices whose option contains color c)."""
+    acc: Counter[tuple[int, ...]] = Counter()
+    for masks in enumerate_colorings(G, options):
+        acc[tuple(sum(m >> c & 1 for m in masks) for c in range(N))] += 1
+    return MultiPoly(N, acc)
+
+
 def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> MultiPoly:
     """X_G truncated to N colors by direct enumeration of proper colorings;
     each coloring f contributes the monomial prod_v z_{f(v)}."""
@@ -422,33 +433,7 @@ def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> Mul
             f" and {MAX_COLORING_VERTICES} vertices"
         )
     charge("enumeration", max(N, 1) ** G.n, budget.enumeration_limit)
-    n = G.n
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    acc: dict[tuple[int, ...], int] = {}
-    colors = [0] * n
-    hist = [0] * N
-
-    def rec(i: int) -> None:
-        if i == n:
-            key = tuple(hist)
-            acc[key] = acc.get(key, 0) + 1
-            return
-        banned = 0
-        low = lower[i]
-        while low:
-            b = low & -low
-            banned |= 1 << colors[b.bit_length() - 1]
-            low ^= b
-        for c in range(N):
-            if banned >> c & 1:
-                continue
-            colors[i] = c
-            hist[c] += 1
-            rec(i + 1)
-            hist[c] -= 1
-
-    rec(0)
-    return MultiPoly(N, acc)
+    return _color_count_tally(G, [[1 << c for c in range(N)]] * G.n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -846,44 +831,9 @@ def multicolor_csf_from_colorings(
         raise ResourceBudgetExceeded("direct multicoloring capped at 3 colors")
     if len(m) != G.n:
         raise InternalInvariantViolation("type vector length mismatch")
-    n = G.n
-    charge("enumeration", (2**N) ** n, budget.enumeration_limit)
+    charge("enumeration", (2**N) ** G.n, budget.enumeration_limit)
     options = [
         [sum(1 << c for c in combo) for combo in combinations(range(N), mv)]
         for mv in m
     ]
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    chosen = [0] * n
-    hist = [0] * N
-    acc: dict[tuple[int, ...], int] = {}
-
-    def rec(i: int) -> None:
-        if i == n:
-            key = tuple(hist)
-            acc[key] = acc.get(key, 0) + 1
-            return
-        forbidden = 0
-        low = lower[i]
-        while low:
-            b = low & -low
-            forbidden |= chosen[b.bit_length() - 1]
-            low ^= b
-        for mask in options[i]:
-            if mask & forbidden:
-                continue
-            chosen[i] = mask
-            mm = mask
-            while mm:
-                bb = mm & -mm
-                hist[bb.bit_length() - 1] += 1
-                mm ^= bb
-            rec(i + 1)
-            mm = mask
-            while mm:
-                bb = mm & -mm
-                hist[bb.bit_length() - 1] -= 1
-                mm ^= bb
-            chosen[i] = 0
-
-    rec(0)
-    return MultiPoly(N, acc)
+    return _color_count_tally(G, options, N)

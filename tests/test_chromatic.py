@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from chromheap.chromatic import (
     multicolor_polynomial,
 )
 from chromheap.errors import NotAClique
-from chromheap.families import complete_graph, cycle_graph, path_graph
+from chromheap.families import complete_graph, cycle_graph, path_graph, random_graph
 from chromheap.graphs import blowup, from_edge_list
 from chromheap.polynomials import Poly
 
@@ -115,6 +117,22 @@ def test_independent_tuple_oracle(c4):
     # tuples of q pairwise-compatible independent sets covering each vertex once
     for q in range(4):
         assert count_independent_tuples(c4, q) == count_proper_colorings(c4, q)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_subset_dp_matches_deletion_contraction(g):
+    assert chromatic_polynomial(g, method="subset_dp") == chromatic_polynomial(
+        g, method="deletion_contraction"
+    )
+
+
+def test_subset_dp_matches_deletion_contraction_gnp10():
+    for seed in range(3):
+        g = random_graph(random.Random(seed), 10, 0.5)
+        assert chromatic_polynomial(g, method="subset_dp") == chromatic_polynomial(
+            g, method="deletion_contraction"
+        )
 
 
 def test_disconnected_graph_factorizes():

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,7 +142,6 @@ def test_usage_errors_exit_2(capsys, c4_file, tmp_path):
     assert run_cli(capsys, "reciprocity", "--check", "stanley", "--graph", c4_file)[0] == 2
     assert run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "bogus=1")[0] == 2
     assert run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "nonsense")[0] == 2
-    assert run_cli(capsys, "chromatic", "--graph", c4_file, "--threads", "0")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "reciprocity", "--check", "nosuch", "--graph", c4_file)[0] == 2
 
@@ -173,10 +176,18 @@ def test_mismatch_exits_1(capsys, c4_file, monkeypatch):
     assert "mismatch" in err
 
 
-def test_threads_flag_does_not_change_output(capsys, c4_file):
-    _, out1, _ = run_cli(capsys, "chromatic", "--graph", c4_file, "--threads", "1")
-    _, out4, _ = run_cli(capsys, "chromatic", "--graph", c4_file, "--threads", "4")
-    assert out1 == out4
+def test_theorem1_huge_j_exits_quickly():
+    # j = 10^8 free blocks: repeated squaring keeps this to a few products
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromheap.cli", "reciprocity", "--check", "theorem1",
+         "--graph", str(root / "data" / "c4.txt"), "-i", "1", "-j", "100000000"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["equal"] is True
 
 
 def test_help_exits_0(capsys):

@@ -176,6 +176,12 @@ def test_bivariate_check_matches_naive(g, j, k):
     assert r.count == count_bivariate_tuples_naive(g, j, k)
 
 
+def test_huge_free_block_counts_finish(c4):
+    # j or k free blocks cost about log(j) products, not j of them
+    assert check_bivariate_reciprocity(c4, 0, 10**6).equal
+    assert check_clique_quotient_reciprocity(c4, 1, 0, 10**6).equal
+
+
 def test_star_and_complete_controls():
     # two shapes with very different chromatic structure keep all checks green
     for g in (star_graph(5), complete_graph(4), path_graph(5), cycle_graph(5)):

@@ -1,0 +1,70 @@
+"""Subset-lattice kernel against brute-force sums over ordered block tuples."""
+
+from __future__ import annotations
+
+import math
+import random
+from itertools import product
+
+import pytest
+
+from chromheap.subsets import convolve, identity, power, solve
+
+
+def brute_tuples(tables: list[list[int]], V: int, anchored: bool = False) -> int:
+    """Sum over ordered tuples (U_1, ..., U_k) of pairwise disjoint sets with
+    union V of prod_t tables[t][U_t]; anchored keeps only the tuples whose
+    last block holds min(V)."""
+    bits = [1 << i for i in range(V.bit_length()) if V >> i & 1]
+    total = 0
+    for assignment in product(range(len(tables)), repeat=len(bits)):
+        blocks = [0] * len(tables)
+        for bit, t in zip(bits, assignment):
+            blocks[t] |= bit
+        if anchored and V and not blocks[-1] & V & -V:
+            continue
+        total += math.prod(f[U] for f, U in zip(tables, blocks))
+    return total
+
+
+def random_table(rng: random.Random, n: int) -> list[int]:
+    """Small integers with plenty of zeros, so both sparse paths run."""
+    return [rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_convolve_matches_brute_force(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        f, g = random_table(rng, n), random_table(rng, n)
+        for anchored in (False, True):
+            h = convolve(f, g, n, anchored=anchored)
+            assert h == [brute_tuples([f, g], V, anchored) for V in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_solve_inverts_convolve(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        f, rhs = random_table(rng, n), random_table(rng, n)
+        f[0] = 1
+        for anchored in (False, True):
+            h = solve(f, rhs, n, anchored=anchored)
+            assert [brute_tuples([f, h], V, anchored) for V in range(1 << n)] == rhs
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_power_matches_brute_force(n):
+    rng = random.Random(200 + n)
+    f = random_table(rng, n)
+    for k in (0, 1, 2, 5):
+        want = [brute_tuples([f] * k, V) for V in range(1 << n)]
+        assert power(f, k, n) == want
+    assert power(f, 0, n) == identity(n)
+
+
+def test_kernel_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        solve([2, 1], [1, 0], 1)
+    with pytest.raises(ValueError):
+        power([1, 1], -1, 1)
