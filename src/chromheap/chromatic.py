@@ -22,7 +22,7 @@ from .errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from .graphs import Graph, blowup, independence_table, is_clique, iter_vertices, vset
+from .graphs import Graph, blowup, independence_table, is_clique, vset
 from .polynomials import BivariatePoly, Poly
 from .subsets import convolve, power
 
@@ -141,7 +141,7 @@ def chromatic_polynomial(
             raise TooManyVertices(
                 f"deletion-contraction capped at n={DELCON_MAX_VERTICES}, got {G.n}"
             )
-        if method == "auto" and budget is DEFAULT_BUDGET:
+        if method == "auto" and budget == DEFAULT_BUDGET:
             return _chromatic_cached(G)
         memo: dict = {}
         return Poly(_chrom_delcon(G.adj, memo, budget))
@@ -151,40 +151,50 @@ def chromatic_polynomial(
 
 
 def enumerate_colorings(
-    G: Graph, options: Sequence[Sequence[int]]
+    G: Graph, colors: int, proper: int, sizes: Sequence[int] | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Every choice of one option per vertex in which adjacent vertices pick
-    disjoint options, by backtracking.
+    """Every way to give each vertex v a set of sizes[v-1] colors out of
+    0..colors-1 (one color each by default), as its tuple of color classes:
+    entry c is the mask of the vertices that hold color c.
 
-    options[v-1] lists the options of vertex v, each the bitmask of the
-    colors it occupies: one bit for a proper color, 0 for a free color, m_v
-    bits for a set of m_v colors.  Choices come out as tuples of masks,
-    vertex 1 first, in the lexicographic order of the option lists.
+    Each color below `proper` must get an independent class, and the walk
+    backtracks on adjacency as it places each vertex; colors at or above
+    `proper` are free.  Vertex 1 chooses slowest, its sets in lexicographic
+    order.
     """
     n = G.n
-    if len(options) != n:
-        raise VertexOutOfRange(f"{len(options)} option lists for {n} vertices")
+    if sizes is None:
+        sizes = [1] * n
+    if len(sizes) != n:
+        raise VertexOutOfRange(f"{len(sizes)} color-set sizes for {n} vertices")
+    classes = [0] * max(colors, 0)
     if n == 0:
-        yield ()
+        yield tuple(classes)
         return
-    lower = [G.adj[i] & ((1 << i) - 1) for i in range(n)]
-    chosen = [0] * n
+    sets = [
+        [(sum(1 << c for c in held), held) for held in combinations(range(colors), k)]
+        for k in sizes
+    ]
+
+    last = n - 1
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
-        used = 0
-        low = lower[i]
-        while low:
-            b = low & -low
-            used |= chosen[b.bit_length() - 1]
-            low ^= b
-        last = i + 1 == n
-        for mask in options[i]:
-            if not mask & used:
-                chosen[i] = mask
-                if last:
-                    yield tuple(chosen)
-                else:
-                    yield from rec(i + 1)
+        blocked = 0
+        for c in range(proper):
+            if classes[c] & G.adj[i]:
+                blocked |= 1 << c
+        bit = 1 << i
+        for mask, held in sets[i]:
+            if mask & blocked:
+                continue
+            for c in held:
+                classes[c] |= bit
+            if i == last:
+                yield tuple(classes)
+            else:
+                yield from rec(i + 1)
+            for c in held:
+                classes[c] ^= bit
 
     yield from rec(0)
 
@@ -193,7 +203,7 @@ def count_proper_colorings(G: Graph, q: int) -> int:
     """Brute-force count of proper colorings with colors 1..q."""
     if q < 0:
         raise VertexOutOfRange("color count must be nonnegative")
-    return sum(1 for _ in enumerate_colorings(G, [[1 << c for c in range(q)]] * G.n))
+    return sum(1 for _ in enumerate_colorings(G, q, q))
 
 
 def count_independent_tuples(G: Graph, q: int) -> int:
@@ -263,8 +273,7 @@ def count_bivariate_colorings(G: Graph, q: int, r: int) -> int:
     adjacent vertices never share a proper color."""
     if q < 0 or r < 0:
         raise VertexOutOfRange("color counts must be nonnegative")
-    options = [1 << c for c in range(q)] + [0] * r
-    return sum(1 for _ in enumerate_colorings(G, [options] * G.n))
+    return sum(1 for _ in enumerate_colorings(G, q + r, q))
 
 
 def multicolor_polynomial(
@@ -297,5 +306,4 @@ def multicolor_polynomial(
 def count_multicolorings(G: Graph, m: Sequence[int], q: int) -> int:
     """Brute-force count of assignments of an m_v-subset of 1..q to each
     vertex v with adjacent vertices receiving disjoint sets."""
-    options = [[vset(c) for c in combinations(range(1, q + 1), mult)] for mult in m]
-    return sum(1 for _ in enumerate_colorings(G, options))
+    return sum(1 for _ in enumerate_colorings(G, q, q, m))

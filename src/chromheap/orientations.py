@@ -340,15 +340,12 @@ def subgraph_unique_source_min_count(G: Graph, mask: int) -> int:
 
 @lru_cache(maxsize=None)
 def subgraph_component_histogram(G: Graph, mask: int) -> tuple[tuple[int, int], ...]:
-    """Histogram (component count -> orientations) of G[mask]; the empty
-    graph contributes one orientation with zero components."""
-    if mask == 0:
-        return ((0, 1),)
-    H, _ = induced_subgraph(G, mask)
+    """Histogram (component count -> orientations) of G[mask], folded from
+    the partition tally; the empty graph contributes one orientation with
+    zero components."""
     tally: Counter[int] = Counter()
-    for o in enumerate_acyclic(H):
-        comps = _source_components_from_out(H.n, H.full_mask, _out_masks(H, o))
-        tally[len(comps)] += 1
+    for lam, count in subgraph_lambda_tally(G, mask):
+        tally[len(lam)] += count
     return tuple(sorted(tally.items()))
 
 

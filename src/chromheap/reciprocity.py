@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from .chromatic import bivariate_polynomial, chi_hat, chromatic_polynomial
+from .chromatic import (
+    bivariate_polynomial,
+    chi_hat,
+    chromatic_polynomial,
+    enumerate_colorings,
+)
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import (
     BadLabeling,
@@ -33,7 +38,6 @@ from .graphs import (
     is_clique,
     is_connected,
     vset,
-    vset_min,
 )
 from .orientations import (
     acyclic_count_table,
@@ -179,19 +183,12 @@ def check_stanley_reciprocity(
     n = G.n
     charge("coloring enumeration", j**n if n else 1, budget.enumeration_limit)
     count = 0
-    for f in product(range(j), repeat=n):
-        masks = [0] * j
-        for v, c in enumerate(f):
-            masks[c] |= 1 << v
+    for classes in enumerate_colorings(G, j, 0):
         prod = 1
-        for mask in masks:
+        for mask in classes:
             if mask:
                 prod *= subgraph_acyclic_count(G, mask)
-                if prod == 0:
-                    break
         count += prod
-    if n == 0:
-        count = 1
     chi = chromatic_polynomial(G, budget=budget)
     poly_side = _sign(n) * chi.evaluate(-j)
     return ReciprocityReport(
@@ -250,19 +247,11 @@ def check_shifted_reciprocity(
     n = G.n
     charge("coloring enumeration", (j + 1) ** n if n else 1, budget.enumeration_limit)
     count = 0
-    for f in product(range(j + 1), repeat=n):
-        masks = [0] * (j + 1)
-        for v, c in enumerate(f):
-            masks[c] |= 1 << v
-        first = dict(subgraph_component_histogram(G, masks[0])).get(i, 0)
-        if not first:
-            continue
-        prod = first
-        for mask in masks[1:]:
-            if mask:
+    for classes in enumerate_colorings(G, j + 1, 0):
+        prod = dict(subgraph_component_histogram(G, classes[0])).get(i, 0)
+        for mask in classes[1:]:
+            if mask and prod:
                 prod *= subgraph_acyclic_count(G, mask)
-                if prod == 0:
-                    break
         count += prod
     chi = chromatic_polynomial(G, budget=budget)
     poly_side = _sign(n - i) * chi.shift(-j).coefficient(i)

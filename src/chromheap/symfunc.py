@@ -6,10 +6,15 @@ e/h bases never materialize.  Finite-alphabet expansions produce
 exponent-map polynomials, which lets every identity compare its algebraic
 side against an orientation-side enumeration in exact arithmetic.
 
-Alphabet slot layout for the multi-alphabet identities: the y variables
-come first, then z, then the primed alphabet.  The orientation side colors
-vertices with integers whose order matches that layout (negative colors
-for y, zero for the block weighted in the primed alphabet, positive for z).
+Slot layout, one for every orientation-side identity: its alphabets take
+contiguous slot ranges in the order y, z, w.  The orientation side colors
+vertices -Ny..-1, 0, 1..Nz.  Color -i is y_i, and its class must be
+independent.  Color c > 0 is z_c, and its class is weighted by its number
+of acyclic orientations.  Color 0, where the identity has it, marks a block
+weighted by p_lambda of its acyclic orientations in the remaining alphabet
+(y in the split-alphabet identity, w in the three-alphabet one).  _LAYOUTS
+writes this down once per identity; its grouped side and its literal
+reference both read it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
@@ -29,7 +34,7 @@ from .errors import (
     ResourceBudgetExceeded,
     TooManyEdges,
 )
-from .graphs import Graph, blowup, independence_table, induced_subgraph
+from .graphs import Graph, blowup, induced_subgraph
 from .orientations import (
     Orientation,
     acyclic_orientation_list,
@@ -415,13 +420,13 @@ def expand_finite(X: PPoly, N: int) -> MultiPoly:
     return substitute_power_sums(X, N, lambda k: MultiPoly.power_sum(N, k, 0, N))
 
 
-def _color_count_tally(G: Graph, options: Sequence[Sequence[int]], N: int) -> MultiPoly:
-    """Sum over the colorings of enumerate_colorings of prod_c z_c^(number
-    of vertices whose option contains color c)."""
-    acc: Counter[tuple[int, ...]] = Counter()
-    for masks in enumerate_colorings(G, options):
-        acc[tuple(sum(m >> c & 1 for m in masks) for c in range(N))] += 1
-    return MultiPoly(N, acc)
+def _color_count_tally(G: Graph, N: int, sizes: Sequence[int] | None = None) -> MultiPoly:
+    """Sum over the proper (multi)colorings of enumerate_colorings with N
+    colors of prod_c z_c^(size of class c)."""
+    tally: Counter[tuple[int, ...]] = Counter()
+    for classes in enumerate_colorings(G, N, N, sizes):
+        tally[tuple(m.bit_count() for m in classes)] += 1
+    return MultiPoly(N, tally)
 
 
 def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> MultiPoly:
@@ -433,7 +438,7 @@ def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> Mul
             f" and {MAX_COLORING_VERTICES} vertices"
         )
     charge("enumeration", max(N, 1) ** G.n, budget.enumeration_limit)
-    return _color_count_tally(G, [[1 << c for c in range(N)]] * G.n, N)
+    return _color_count_tally(G, N)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +461,10 @@ def _expand_partition(
 def _lambda_weight(G: Graph, mask: int, nvars: int, lo: int, hi: int) -> MultiPoly:
     """Sum of p_{lambda(gamma)} over acyclic orientations of G[mask],
     expanded in variable slots lo..hi-1."""
-    acc: dict[tuple[int, ...], object] = {}
+    out = MultiPoly(nvars)
     for lam, cnt in subgraph_lambda_tally(G, mask):
-        for e, v in _expand_partition(lam, nvars, lo, hi).terms.items():
-            s = acc.get(e, 0) + cnt * v
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return MultiPoly(nvars, acc)
+        out = out + _expand_partition(lam, nvars, lo, hi).scale(cnt)
+    return out
 
 
 def _restriction_lambda(G: Graph, o: Orientation, mask: int) -> tuple[int, ...]:
@@ -479,8 +479,6 @@ def _add_shifted(
     acc: dict, weight: MultiPoly, base: Sequence[int], factor: int
 ) -> None:
     """acc += factor * weight * monomial(base), written into a plain dict."""
-    if factor == 0:
-        return
     base = tuple(base)
     for e, v in weight.terms.items():
         key = tuple(x + y for x, y in zip(e, base))
@@ -491,11 +489,87 @@ def _add_shifted(
             del acc[key]
 
 
-def _class_masks(f: Sequence[int], colors: Sequence[int]) -> dict[int, int]:
-    masks = {c: 0 for c in colors}
-    for pos, c in enumerate(f):
-        masks[c] |= 1 << pos
-    return masks
+# (nvars, ny, z, nz, zero) of each identity, from its alphabet sizes: colors
+# -1..-ny count in slots 0..ny-1, colors 1..nz in slots z..z+nz-1, and the
+# color-0 block, if zero is a slot range (lo, hi), is weighted in lo..hi-1.
+_LAYOUTS: dict[str, Callable[..., tuple]] = {
+    "descent_expansion": lambda N: (N, 0, 0, N, None),
+    "split_alphabet": lambda Ny, Nz: (Ny + Nz, 0, Ny, Nz, (0, Ny)),
+    "superfication": lambda Ny, Nz: (Ny + Nz, Ny, Ny, Nz, None),
+    "combined_alphabets": lambda Ny, Nz, Nw: (
+        Ny + Nz + Nw, Ny, Ny, Nz, (Ny + Nz, Ny + Nz + Nw)
+    ),
+}
+
+
+def _grouped_side(G: Graph, identity: str, *sizes: int) -> MultiPoly:
+    """Orientation side of an identity, summed over colorings.
+
+    Descent-freeness forces every arc between distinct color classes, so a
+    coloring admits exactly the products of acyclic orientations of its
+    classes.  Walk colors: the ny y colors (proper), then color 0 if the
+    identity has it, then the nz z colors.
+    """
+    nvars, ny, z, nz, zero = _LAYOUTS[identity](*sizes)
+    first_z = ny + (zero is not None)
+    one = MultiPoly.constant(nvars)
+    acc: dict[tuple[int, ...], object] = {}
+    for classes in enumerate_colorings(G, first_z + nz, ny):
+        key = [m.bit_count() for m in classes[:ny]] + [0] * (nvars - ny)
+        w = 1
+        for c in range(nz):
+            mask = classes[first_z + c]
+            w *= subgraph_acyclic_count(G, mask)
+            key[z + c] = mask.bit_count()
+        weight = one if zero is None else _lambda_weight(G, classes[ny], nvars, *zero)
+        _add_shifted(acc, weight, key, w)
+    return MultiPoly(nvars, acc)
+
+
+def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
+    """Orientation side of an identity (a key of _LAYOUTS, with the sizes
+    its *_sides function takes) as the literal sum over descent-free
+    (acyclic orientation, coloring) pairs, colors ordered -ny..-1, 0, 1..nz:
+    the reference the grouped route is tested against on small graphs."""
+    nvars, ny, z, nz, zero = _LAYOUTS[identity](*sizes)
+    palette = list(range(-ny, 0)) + [0] * (zero is not None) + list(range(1, nz + 1))
+    one = MultiPoly.constant(nvars)
+    acc: dict[tuple[int, ...], object] = {}
+    for o in acyclic_orientation_list(G):
+        for f in product(palette, repeat=G.n):
+            if not is_descent_free(G, o, f):
+                continue
+            if any(f[u - 1] == f[v - 1] < 0 for u, v in G.edges):
+                continue  # a y class must be independent
+            key = [0] * nvars
+            zero_block = 0
+            for pos, c in enumerate(f):
+                if c < 0:
+                    key[-c - 1] += 1
+                elif c > 0:
+                    key[z + c - 1] += 1
+                else:
+                    zero_block |= 1 << pos
+            if zero is None:
+                weight = one
+            else:
+                lam = _restriction_lambda(G, o, zero_block)
+                weight = _expand_partition(lam, nvars, *zero)
+            _add_shifted(acc, weight, key, 1)
+    return MultiPoly(nvars, acc)
+
+
+def _sides_report(
+    identity: str, sides: tuple[MultiPoly, MultiPoly], **params: int
+) -> IdentityReport:
+    lhs, rhs = sides
+    return IdentityReport(
+        identity=identity,
+        params=params,
+        equal=lhs == rhs,
+        details=(f"{len(lhs.terms)} monomials algebraic side",
+                 f"{len(rhs.terms)} monomials orientation side"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,49 +598,20 @@ def verify_orientation_expansion(
 def descent_expansion_sides(
     G: Graph, N: int, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[MultiPoly, MultiPoly]:
-    """omega(X_G) in N variables against the descent-free pair enumeration.
-
-    The orientation side groups pairs by the coloring: descent-freeness
-    forces every arc between distinct color classes, so a coloring f admits
-    exactly prod_c a(G[f^{-1}(c)]) compatible acyclic orientations.
-    """
+    """omega(X_G) in N variables against the descent-free pair enumeration,
+    grouped by coloring: a coloring f admits exactly prod_c a(G[f^{-1}(c)])
+    compatible acyclic orientations."""
     lhs = expand_finite(omega(csf_powersum(G, budget)), N)
     charge("enumeration", max(N, 1) ** G.n, budget.enumeration_limit)
-    acc: dict[tuple[int, ...], int] = {}
-    for f in product(range(N), repeat=G.n):
-        masks = _class_masks(f, range(N))
-        w = 1
-        for c in range(N):
-            w *= subgraph_acyclic_count(G, masks[c])
-        key = tuple(masks[c].bit_count() for c in range(N))
-        acc[key] = acc.get(key, 0) + w
-    return lhs, MultiPoly(N, acc)
+    return lhs, _grouped_side(G, "descent_expansion", N)
 
 
 def verify_descent_expansion(
     G: Graph, N: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    lhs, rhs = descent_expansion_sides(G, N, budget)
-    return IdentityReport(
-        identity="descent_expansion",
-        params={"n": G.n, "colors": N},
-        equal=lhs == rhs,
-        details=(f"{len(lhs.terms)} monomials algebraic side",
-                 f"{len(rhs.terms)} monomials orientation side"),
+    return _sides_report(
+        "descent_expansion", descent_expansion_sides(G, N, budget), n=G.n, colors=N
     )
-
-
-def descent_expansion_rhs_naive(G: Graph, N: int) -> MultiPoly:
-    """Literal sum over descent-free (orientation, coloring) pairs; cross
-    checks the grouped route on small graphs."""
-    acc: dict[tuple[int, ...], int] = {}
-    for o in acyclic_orientation_list(G):
-        for f in product(range(N), repeat=G.n):
-            if not is_descent_free(G, o, f):
-                continue
-            key = tuple(f.count(c) for c in range(N))
-            acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(N, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -598,58 +643,20 @@ def split_alphabet_sides(
         lambda k: MultiPoly.power_sum(nv, k, 0, nv),
     )
     charge("enumeration", (Nz + 1) ** G.n, budget.enumeration_limit)
-    acc: dict[tuple[int, ...], object] = {}
-    for f in product(range(Nz + 1), repeat=G.n):
-        masks = _class_masks(f, range(Nz + 1))
-        w = 1
-        for c in range(1, Nz + 1):
-            w *= subgraph_acyclic_count(G, masks[c])
-        base = [0] * nv
-        for c in range(1, Nz + 1):
-            base[Ny + c - 1] = masks[c].bit_count()
-        _add_shifted(acc, _lambda_weight(G, masks[0], nv, 0, Ny), base, w)
-    return lhs, MultiPoly(nv, acc)
+    return lhs, _grouped_side(G, "split_alphabet", Ny, Nz)
 
 
 def verify_split_alphabet(
     G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    lhs, rhs = split_alphabet_sides(G, Ny, Nz, budget)
-    return IdentityReport(
-        identity="split_alphabet",
-        params={"n": G.n, "y_vars": Ny, "z_vars": Nz},
-        equal=lhs == rhs,
-        details=(f"{len(lhs.terms)} monomials algebraic side",
-                 f"{len(rhs.terms)} monomials orientation side"),
+    return _sides_report(
+        "split_alphabet", split_alphabet_sides(G, Ny, Nz, budget),
+        n=G.n, y_vars=Ny, z_vars=Nz,
     )
-
-
-def split_alphabet_rhs_naive(G: Graph, Ny: int, Nz: int) -> MultiPoly:
-    """Literal pair enumeration for the split-alphabet identity."""
-    nv = Ny + Nz
-    acc: dict[tuple[int, ...], object] = {}
-    for o in acyclic_orientation_list(G):
-        for f in product(range(Nz + 1), repeat=G.n):
-            if not is_descent_free(G, o, f):
-                continue
-            mask0 = 0
-            for pos, c in enumerate(f):
-                if c == 0:
-                    mask0 |= 1 << pos
-            lam = _restriction_lambda(G, o, mask0)
-            base = [0] * nv
-            for c in range(1, Nz + 1):
-                base[Ny + c - 1] = f.count(c)
-            _add_shifted(acc, _expand_partition(lam, nv, 0, Ny), base, 1)
-    return MultiPoly(nv, acc)
 
 
 # ---------------------------------------------------------------------------
 # signed-alphabet (super) refinements
-
-
-def _is_independent(G: Graph, mask: int) -> bool:
-    return bool(independence_table(G)[mask])
 
 
 def superfication_sides(
@@ -671,59 +678,17 @@ def superfication_sides(
         return y + z.scale(-((-1) ** k))
 
     lhs = substitute_power_sums(csf_powersum(G, budget), nv, image)
-    palette = list(range(-Ny, 0)) + list(range(1, Nz + 1))
-    charge("enumeration", max(len(palette), 1) ** G.n, budget.enumeration_limit)
-    acc: dict[tuple[int, ...], int] = {}
-    for f in product(palette, repeat=G.n):
-        masks = _class_masks(f, palette)
-        if any(not _is_independent(G, masks[-i]) for i in range(1, Ny + 1)):
-            continue
-        w = 1
-        for c in range(1, Nz + 1):
-            w *= subgraph_acyclic_count(G, masks[c])
-        key = [0] * nv
-        for i in range(1, Ny + 1):
-            key[i - 1] = masks[-i].bit_count()
-        for c in range(1, Nz + 1):
-            key[Ny + c - 1] = masks[c].bit_count()
-        key = tuple(key)
-        acc[key] = acc.get(key, 0) + w
-    return lhs, MultiPoly(nv, acc)
+    charge("enumeration", max(Ny + Nz, 1) ** G.n, budget.enumeration_limit)
+    return lhs, _grouped_side(G, "superfication", Ny, Nz)
 
 
 def verify_superfication(
     G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    lhs, rhs = superfication_sides(G, Ny, Nz, budget)
-    return IdentityReport(
-        identity="superfication",
-        params={"n": G.n, "y_vars": Ny, "z_vars": Nz},
-        equal=lhs == rhs,
-        details=(f"{len(lhs.terms)} monomials algebraic side",
-                 f"{len(rhs.terms)} monomials orientation side"),
+    return _sides_report(
+        "superfication", superfication_sides(G, Ny, Nz, budget),
+        n=G.n, y_vars=Ny, z_vars=Nz,
     )
-
-
-def superfication_rhs_naive(G: Graph, Ny: int, Nz: int) -> MultiPoly:
-    """Literal pair enumeration for the signed-coloring identity."""
-    nv = Ny + Nz
-    palette = list(range(-Ny, 0)) + list(range(1, Nz + 1))
-    acc: dict[tuple[int, ...], int] = {}
-    for o in acyclic_orientation_list(G):
-        for f in product(palette, repeat=G.n):
-            if not is_descent_free(G, o, f):
-                continue
-            masks = _class_masks(f, palette)
-            if any(not _is_independent(G, masks[-i]) for i in range(1, Ny + 1)):
-                continue
-            key = [0] * nv
-            for i in range(1, Ny + 1):
-                key[i - 1] = masks[-i].bit_count()
-            for c in range(1, Nz + 1):
-                key[Ny + c - 1] = masks[c].bit_count()
-            key = tuple(key)
-            acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(nv, acc)
 
 
 def combined_sides(
@@ -746,58 +711,17 @@ def combined_sides(
         return y + zw.scale(-((-1) ** k))
 
     lhs = substitute_power_sums(csf_powersum(G, budget), nv, image)
-    palette = list(range(-Ny, Nz + 1))
-    charge("enumeration", len(palette) ** G.n, budget.enumeration_limit)
-    acc: dict[tuple[int, ...], object] = {}
-    for f in product(palette, repeat=G.n):
-        masks = _class_masks(f, palette)
-        if any(not _is_independent(G, masks[-i]) for i in range(1, Ny + 1)):
-            continue
-        w = 1
-        for c in range(1, Nz + 1):
-            w *= subgraph_acyclic_count(G, masks[c])
-        base = [0] * nv
-        for i in range(1, Ny + 1):
-            base[i - 1] = masks[-i].bit_count()
-        for c in range(1, Nz + 1):
-            base[Ny + c - 1] = masks[c].bit_count()
-        _add_shifted(acc, _lambda_weight(G, masks[0], nv, Ny + Nz, nv), base, w)
-    return lhs, MultiPoly(nv, acc)
+    charge("enumeration", (Ny + Nz + 1) ** G.n, budget.enumeration_limit)
+    return lhs, _grouped_side(G, "combined_alphabets", Ny, Nz, Nw)
 
 
 def verify_combined(
     G: Graph, Ny: int, Nz: int, Nw: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    lhs, rhs = combined_sides(G, Ny, Nz, Nw, budget)
-    return IdentityReport(
-        identity="combined_alphabets",
-        params={"n": G.n, "y_vars": Ny, "z_vars": Nz, "w_vars": Nw},
-        equal=lhs == rhs,
-        details=(f"{len(lhs.terms)} monomials algebraic side",
-                 f"{len(rhs.terms)} monomials orientation side"),
+    return _sides_report(
+        "combined_alphabets", combined_sides(G, Ny, Nz, Nw, budget),
+        n=G.n, y_vars=Ny, z_vars=Nz, w_vars=Nw,
     )
-
-
-def combined_rhs_naive(G: Graph, Ny: int, Nz: int, Nw: int) -> MultiPoly:
-    """Literal pair enumeration for the three-alphabet identity."""
-    nv = Ny + Nz + Nw
-    palette = list(range(-Ny, Nz + 1))
-    acc: dict[tuple[int, ...], object] = {}
-    for o in acyclic_orientation_list(G):
-        for f in product(palette, repeat=G.n):
-            if not is_descent_free(G, o, f):
-                continue
-            masks = _class_masks(f, palette)
-            if any(not _is_independent(G, masks[-i]) for i in range(1, Ny + 1)):
-                continue
-            lam = _restriction_lambda(G, o, masks[0])
-            base = [0] * nv
-            for i in range(1, Ny + 1):
-                base[i - 1] = masks[-i].bit_count()
-            for c in range(1, Nz + 1):
-                base[Ny + c - 1] = masks[c].bit_count()
-            _add_shifted(acc, _expand_partition(lam, nv, Ny + Nz, nv), base, 1)
-    return MultiPoly(nv, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +756,4 @@ def multicolor_csf_from_colorings(
     if len(m) != G.n:
         raise InternalInvariantViolation("type vector length mismatch")
     charge("enumeration", (2**N) ** G.n, budget.enumeration_limit)
-    options = [
-        [sum(1 << c for c in combo) for combo in combinations(range(N), mv)]
-        for mv in m
-    ]
-    return _color_count_tally(G, options, N)
+    return _color_count_tally(G, N, m)

@@ -16,11 +16,12 @@ from chromheap.chromatic import (
     count_independent_tuples,
     count_multicolorings,
     count_proper_colorings,
+    enumerate_colorings,
     multicolor_polynomial,
 )
 from chromheap.errors import NotAClique
 from chromheap.families import complete_graph, cycle_graph, path_graph, random_graph
-from chromheap.graphs import blowup, from_edge_list
+from chromheap.graphs import blowup, from_edge_list, independence_table
 from chromheap.polynomials import Poly
 
 from conftest import graphs
@@ -73,13 +74,25 @@ def test_chi_hat_reconstructs_chi(k3):
     assert rebuilt == chi
 
 
-@given(graphs(max_n=5), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+@given(graphs(max_n=6), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_bivariate_counts_colorings(g, q, r):
     if r > q:
         return
+    # the walk itself: q proper then r free colors, one color per vertex
+    independent = independence_table(g)
+    walked = 0
+    for classes in enumerate_colorings(g, q + r, q):
+        assert len(classes) == q + r
+        union = 0
+        for m in classes:
+            assert not union & m
+            union |= m
+        assert union == g.full_mask
+        assert all(independent[m] for m in classes[:q])
+        walked += 1
     poly = bivariate_polynomial(g)
-    assert poly.evaluate(q, r) == count_bivariate_colorings(g, q, r)
+    assert poly.evaluate(q, r) == walked == count_bivariate_colorings(g, q, r)
 
 
 def test_bivariate_specializes_to_chromatic(c4):

@@ -45,6 +45,21 @@ def test_chromatic_json_coefficients(capsys, c4_file):
     assert payload["polynomial"]["coeffs"] == ["0", "-3", "6", "-4", "1"]
 
 
+def test_chromatic_reaches_cache_unless_budget_overridden(capsys, c4_file):
+    from chromheap.chromatic import _chromatic_cached
+
+    _chromatic_cached.cache_clear()
+    first = run_cli(capsys, "chromatic", "--graph", c4_file)
+    second = run_cli(capsys, "chromatic", "--graph", c4_file)
+    info = _chromatic_cached.cache_info()
+    assert info.hits >= 1
+    overridden = run_cli(
+        capsys, "chromatic", "--graph", c4_file, "--budget", "memo_entries=500000"
+    )
+    assert _chromatic_cached.cache_info() == info
+    assert first == second == overridden
+
+
 def test_chromatic_derivative_evaluation(capsys, c4_file):
     code, out, _ = run_cli(capsys, "chromatic", "--graph", c4_file, "-d", "1", "-q", "-1")
     payload = json.loads(out)

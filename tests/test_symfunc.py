@@ -19,23 +19,20 @@ from chromheap.orientations import acyclic_orientation_list
 from chromheap.symfunc import (
     MultiPoly,
     PPoly,
-    combined_rhs_naive,
     combined_sides,
     csf_from_colorings,
     csf_powersum,
-    descent_expansion_rhs_naive,
     descent_expansion_sides,
     expand_finite,
     multicolor_csf,
     multicolor_csf_from_colorings,
     omega,
     orientation_lambda_tally,
+    orientation_side_naive,
     specialize_p_to_q,
     specialize_p_to_value,
-    split_alphabet_rhs_naive,
     split_alphabet_sides,
     substitute_power_sums,
-    superfication_rhs_naive,
     superfication_sides,
     verify_combined,
     verify_descent_expansion,
@@ -173,7 +170,7 @@ def test_descent_expansion_matches_naive(g, n_colors):
     report = verify_descent_expansion(g, n_colors)
     assert report.equal
     lhs, rhs = descent_expansion_sides(g, n_colors)
-    assert rhs == descent_expansion_rhs_naive(g, n_colors)
+    assert rhs == orientation_side_naive(g, "descent_expansion", n_colors)
 
 
 @given(graphs(max_n=5), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
@@ -182,7 +179,7 @@ def test_split_alphabet_matches_naive(g, ny, nz):
     report = verify_split_alphabet(g, ny, nz)
     assert report.equal
     _, rhs = split_alphabet_sides(g, ny, nz)
-    assert rhs == split_alphabet_rhs_naive(g, ny, nz)
+    assert rhs == orientation_side_naive(g, "split_alphabet", ny, nz)
 
 
 def test_split_alphabet_degenerate_reductions(c4):
@@ -206,7 +203,7 @@ def test_superfication_matches_naive(g, ny, nz):
     report = verify_superfication(g, ny, nz)
     assert report.equal
     _, rhs = superfication_sides(g, ny, nz)
-    assert rhs == superfication_rhs_naive(g, ny, nz)
+    assert rhs == orientation_side_naive(g, "superfication", ny, nz)
 
 
 def test_superfication_degenerate_reductions(c4):
@@ -230,7 +227,7 @@ def test_combined_matches_naive(g):
     report = verify_combined(g, 1, 1, 1)
     assert report.equal
     _, rhs = combined_sides(g, 1, 1, 1)
-    assert rhs == combined_rhs_naive(g, 1, 1, 1)
+    assert rhs == orientation_side_naive(g, "combined_alphabets", 1, 1, 1)
 
 
 def test_combined_degenerate_reductions(c4):
