@@ -15,7 +15,8 @@ from .errors import ResourceBudgetExceeded
 class Budget:
     # max memo entries for deletion-contraction
     memo_entries: int = 1_000_000
-    # max colorings / tuples a single direct enumeration may touch
+    # max colorings / tuples a single direct enumeration may touch, and max
+    # coefficient pairs one series product or recurrence may multiply
     enumeration_limit: int = 8_000_000
     # max stored monomials in one truncated series
     series_terms: int = 500_000

@@ -70,6 +70,14 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every lru_cache keyed on a Graph hashes it on each lookup
+        return hash((self.n, self.adj))
+
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (u, v) with u < v, sorted lexicographically.

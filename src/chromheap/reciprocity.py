@@ -247,8 +247,12 @@ def check_shifted_reciprocity(
     n = G.n
     charge("coloring enumeration", (j + 1) ** n if n else 1, budget.enumeration_limit)
     count = 0
+    with_i: dict[int, int] = {}  # lowest class mask -> orientations with i components
     for classes in enumerate_colorings(G, j + 1, 0):
-        prod = dict(subgraph_component_histogram(G, classes[0])).get(i, 0)
+        low = classes[0]
+        prod = with_i.get(low)
+        if prod is None:
+            prod = with_i[low] = dict(subgraph_component_histogram(G, low)).get(i, 0)
         for mask in classes[1:]:
             if mask and prod:
                 prod *= subgraph_acyclic_count(G, mask)

@@ -1,24 +1,32 @@
 """Truncated multivariate generating series for heaps of pieces.
 
-A heap over a graph G is, concretely, an acyclic orientation of a
-blow-up of G in which the copies of each vertex are totally ordered
-(lower copies below higher ones).  Its type records how many pieces of
-each kind occur, so series in one commuting variable per vertex count
-heaps by type.  Three series matter here:
+A heap over a graph G is, concretely, an acyclic orientation of a blow-up
+of G in which the copies of each vertex are totally ordered (lower copies
+below higher ones).  Its type records how many pieces of each kind occur,
+so series in one commuting variable per vertex count heaps by type:
 
 * T, the trivial-heap series: one term per independent set (heaps whose
   pieces are pairwise non-adjacent, each taken once);
 * H = 1 / T(-x), counting all heaps by type;
-* P = -log T(-x), counting pyramids (heaps with a unique minimal piece)
-  weighted by 1/(number of pieces) ... the coefficient of x^m in P times
-  |m| is the number of pyramids of type m divided by, precisely, nothing:
-  P's coefficient of x^m is (pyramids of type m) / |m|.
+* P = -log T(-x), counting pyramids (heaps with a unique minimal piece):
+  the coefficient of x^m in P is (pyramids of type m) / |m|;
+* H_S = T_{S-bar}(-x) / T(-x), counting heaps whose minimal pieces all have type in S.
 
-Restricted series: H_S = T_{S-bar}(-x) / T(-x) counts heaps all of whose
-minimal pieces have type in S.
+Layout.  Arithmetic runs on the D + 1 homogeneous slices of a series cut
+at total degree D.  A monomial is one int with each exponent in a field of
+max(1, D.bit_length()) bits, so a monomial product is one integer add that
+never carries, and the slice product sum_k A_k B_{d-k} (`_degree`) never
+forms a term above D.  Multiplication, inverse, log and exp are recurrences
+over it, each charging its running count of coefficient pairs against
+Budget.enumeration_limit.  `terms`, keyed by exponent tuples, is the view.
 
-Everything is truncated at a total degree bound; all arithmetic is exact
-(int or Fraction coefficients).
+Heap routes, both in integers, from F = T(-x) built from the independent
+sets.  Inversion: H_d = -sum_{k>=1} F_k H_{d-k}.  Log, then exp: with theta
+the Euler operator (x^m -> |m| x^m), thetaL_d = d F_d - sum_{1<=k<d} F_k
+thetaL_{d-k} gives L = log F and P = -L, whose P_m = -thetaL_m / |m| is the
+only division into Fraction; exp rebuilds H' from d H'_d = sum_{k>=1}
+(theta P)_k H'_{d-k} by exact division, and check_heap_identities compares
+H' with H.  The two routes share the slice product and nothing else.
 """
 from __future__ import annotations
 
@@ -28,19 +36,118 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, TooManyVertices, VertexOutOfRange
-from .graphs import (
-    Graph,
-    blowup,
-    blowup_types,
-    independent_sets,
-    iter_vertices,
-    vset,
-    vset_tuple,
-)
-from .orientations import _iter_acyclic_bits
+from .graphs import Graph, blowup, blowup_types, independent_sets, iter_vertices, vset, vset_tuple
+from .orientations import _iter_acyclic_bits, subgraph_source_mask_tally
 from .reports import IdentityReport
 
 MAX_HEAP_PIECES = 10
+
+Slices = list[dict]  # slice d maps packed monomials of degree d to coefficients
+
+
+def _width(bound: int) -> int:
+    """Bits per variable in a packed monomial."""
+    return max(1, bound.bit_length())
+
+
+def _spread(vmask: int, width: int) -> int:
+    """The packed squarefree monomial x^V of a vertex mask V."""
+    return sum(1 << width * (v - 1) for v in iter_vertices(vmask))
+
+
+def _div(c, d: int):
+    """c / d, kept an int when d divides c."""
+    return c // d if isinstance(c, int) and not c % d else Fraction(c, d)
+
+
+class _Work:
+    """Coefficient pairs one product or recurrence has multiplied so far."""
+
+    def __init__(self, budget: Budget):
+        self.pairs, self.limit = 0, budget.enumeration_limit
+
+    def add(self, pairs: int) -> None:
+        self.pairs += pairs
+        charge("series coefficient pairs", self.pairs, self.limit)
+
+
+def _degree(a: list, b: Slices, d: int, work: _Work) -> dict:
+    """Slice d of a * b without zeros; a lists (k, a_k) for the nonempty a_k.
+    Empty slices of b, such as those a recurrence has not filled yet, are skipped."""
+    pairs, count = [], 0
+    for k, x in a:
+        if k > d:
+            break
+        y = b[d - k]
+        if y:
+            pairs.append((x, y))
+            count += len(x) * len(y)
+    work.add(count)
+    acc: dict = {}
+    get = acc.get
+    for x, y in pairs:
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                k = kx + ky
+                acc[k] = get(k, 0) + cx * cy
+    return {k: c for k, c in acc.items() if c}
+
+
+def _nonempty(a: Slices) -> list:
+    return [(k, x) for k, x in enumerate(a) if x]
+
+
+def _product(a: Slices, b: Slices, work: _Work) -> Slices:
+    """a * b, scanning the factor with fewer nonempty slices."""
+    a_items, b_items = _nonempty(a), _nonempty(b)
+    if len(b_items) < len(a_items):
+        a_items, b = b_items, a
+    return [_degree(a_items, b, d, work) for d in range(len(b))]
+
+
+def _inverse(f: Slices, work: _Work) -> Slices:
+    """1 / f for f_0 = 1: h_d = -sum_{k>=1} f_k h_{d-k}."""
+    if f[:1] != [{0: 1}]:
+        raise InternalInvariantViolation("reciprocal needs constant term 1")
+    f_items = _nonempty(f)
+    h: Slices = [{0: 1}] + [{} for _ in f[1:]]
+    for d in range(1, len(f)):
+        h[d] = {k: -c for k, c in _degree(f_items, h, d, work).items()}
+    return h
+
+
+def _theta_log(f: Slices, work: _Work) -> Slices:
+    """theta log f for f_0 = 1: t_d = d f_d - sum_{1<=k<d} f_k t_{d-k}."""
+    if f[:1] != [{0: 1}]:
+        raise InternalInvariantViolation("log needs constant term 1")
+    f_items = _nonempty(f)
+    t: Slices = [{} for _ in f]
+    for d in range(1, len(f)):
+        acc = {k: d * c for k, c in f[d].items()}
+        for k, c in _degree(f_items, t, d, work).items():
+            acc[k] = acc.get(k, 0) - c
+        t[d] = {k: c for k, c in acc.items() if c}
+    return t
+
+
+def _exp_of_theta(theta: Slices, work: _Work) -> Slices:
+    """The e with e_0 = 1 and theta e = theta * e: d e_d = sum_{k>=1} theta_k e_{d-k}."""
+    theta_items = _nonempty(theta)
+    e: Slices = [{0: 1}] + [{} for _ in theta[1:]]
+    for d in range(1, len(theta)):
+        e[d] = {k: _div(c, d) for k, c in _degree(theta_items, e, d, work).items()}
+    return e
+
+
+def _theta(a: Slices) -> Slices:
+    """theta a, whole coefficients as ints so that exp stays in integers."""
+    out = [{k: d * c for k, c in x.items()} for d, x in enumerate(a)]
+    return [{k: c.numerator if c.denominator == 1 else c for k, c in x.items()} for x in out]
+
+
+def _divide_theta(t: Slices, sign: int = 1) -> Slices:
+    """sign * s for theta s = t: one division per coefficient."""
+    return [{k: _div(sign * c, d) for k, c in x.items()} for d, x in enumerate(t)]
 
 
 class TruncatedSeries:
@@ -49,28 +156,28 @@ class TruncatedSeries:
     __slots__ = ("nvars", "bound", "terms")
 
     def __init__(self, nvars: int, bound: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        self.nvars = nvars
-        self.bound = bound
-        clean: dict[tuple[int, ...], object] = {}
-        for exps, c in (terms or {}).items():
-            if c == 0 or sum(exps) > bound:
-                continue
-            clean[tuple(exps)] = c
-        self.terms = clean
+        self.nvars, self.bound = nvars, bound
+        self.terms = {
+            tuple(exps): c for exps, c in (terms or {}).items() if c != 0 and sum(exps) <= bound
+        }
 
     @classmethod
     def constant(cls, nvars: int, bound: int, c=1) -> "TruncatedSeries":
         return cls(nvars, bound, {(0,) * nvars: c})
+
+    def _slices(self) -> Slices:
+        shifts = [_width(self.bound) * i for i in range(self.nvars)]
+        out: Slices = [{} for _ in range(self.bound + 1)]
+        for exps, c in self.terms.items():
+            out[sum(exps)][sum(e << s for e, s in zip(exps, shifts))] = c
+        return out
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), 0)
 
     def coefficient_of_set(self, mask: int):
         """Coefficient of the squarefree monomial given by a vertex mask."""
-        exps = [0] * self.nvars
-        for v in iter_vertices(mask):
-            exps[v - 1] = 1
-        return self.coefficient(exps)
+        return self.coefficient([mask >> i & 1 for i in range(self.nvars)])
 
     def constant_term(self):
         return self.coefficient((0,) * self.nvars)
@@ -80,15 +187,11 @@ class TruncatedSeries:
             raise ValueError("series have different variable counts or bounds")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return (
-                self.nvars == other.nvars
-                and self.bound == other.bound
-                and self.terms == other.terms
-            )
         if isinstance(other, (int, Fraction)):
-            return self == TruncatedSeries.constant(self.nvars, self.bound, other)
-        return NotImplemented
+            other = TruncatedSeries.constant(self.nvars, self.bound, other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (self.nvars, self.bound, self.terms) == (other.nvars, other.bound, other.terms)
 
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -96,21 +199,15 @@ class TruncatedSeries:
         self._check_compatible(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            new = out.get(k, 0) + c
-            if new == 0:
-                out.pop(k, None)
-            else:
-                out[k] = new
+            out[k] = out.get(k, 0) + c
         return TruncatedSeries(self.nvars, self.bound, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.bound, {k: -c for k, c in self.terms.items()})
+        return self.map_coefficients(lambda c: -c)
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.nvars, self.bound, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
@@ -118,116 +215,50 @@ class TruncatedSeries:
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TruncatedSeries(self.nvars, self.bound, {})
-            return TruncatedSeries(
-                self.nvars, self.bound, {k: c * other for k, c in self.terms.items()}
-            )
+            return self.map_coefficients(lambda c: c * other)
         self._check_compatible(other)
-        bound = self.bound
-        bitems = sorted((sum(k), k, c) for k, c in other.terms.items())
-        out: dict[tuple[int, ...], object] = {}
-        for ka, ca in self.terms.items():
-            room = bound - sum(ka)
-            for db, kb, cb in bitems:
-                if db > room:
-                    break
-                key = tuple(x + y for x, y in zip(ka, kb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return TruncatedSeries(self.nvars, self.bound, out)
+        product = _product(self._slices(), other._slices(), _Work(DEFAULT_BUDGET))
+        return _series(self.nvars, self.bound, product)
 
     __rmul__ = __mul__
 
     def substitute_neg(self) -> "TruncatedSeries":
         """The series with every variable negated: x^m picks up (-1)^|m|."""
         return TruncatedSeries(
-            self.nvars,
-            self.bound,
-            {k: (-c if sum(k) & 1 else c) for k, c in self.terms.items()},
+            self.nvars, self.bound, {k: (-c if sum(k) & 1 else c) for k, c in self.terms.items()}
         )
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be exactly 1."""
-        if self.constant_term() != 1:
-            raise InternalInvariantViolation("reciprocal needs constant term 1")
-        u = 1 - self
-        acc = TruncatedSeries.constant(self.nvars, self.bound)
-        for _ in range(self.bound):
-            acc = 1 + u * acc
-        return acc
+        return _series(self.nvars, self.bound, _inverse(self._slices(), _Work(DEFAULT_BUDGET)))
 
     def log(self) -> "TruncatedSeries":
         """Natural log; the constant term must be exactly 1."""
-        if self.constant_term() != 1:
-            raise InternalInvariantViolation("log needs constant term 1")
-        u = 1 - self
-        if self.bound == 0:
-            return TruncatedSeries(self.nvars, self.bound, {})
-        acc = TruncatedSeries.constant(self.nvars, self.bound, Fraction(1, self.bound))
-        for k in range(self.bound - 1, 0, -1):
-            acc = u * acc + Fraction(1, k)
-        return -(u * acc)
+        theta_l = _theta_log(self._slices(), _Work(DEFAULT_BUDGET))
+        return _series(self.nvars, self.bound, _divide_theta(theta_l))
 
     def exp(self) -> "TruncatedSeries":
-        """Exponential; the constant term must be exactly 0.
-
-        Computed slice by slice through the Euler-operator recurrence
-        d*E_d = sum_{k<=d} (k*P_k)*E_{d-k} over homogeneous degrees, so
-        each coefficient pair is combined once rather than once per term
-        of the partial-sum formula.
-        """
+        """Exponential; the constant term must be exactly 0."""
         if self.constant_term() != 0:
             raise InternalInvariantViolation("exp needs constant term 0")
-        theta: dict[int, list[tuple[tuple[int, ...], object]]] = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            theta.setdefault(d, []).append((e, c * d))
-        by_degree: list[dict[tuple[int, ...], object]] = [
-            {} for _ in range(self.bound + 1)
-        ]
-        by_degree[0][(0,) * self.nvars] = 1
-        for d in range(1, self.bound + 1):
-            acc = by_degree[d]
-            for k, plist in theta.items():
-                if k > d:
-                    continue
-                lower = by_degree[d - k]
-                if not lower:
-                    continue
-                for pe, pc in plist:
-                    for ee, ec in lower.items():
-                        key = tuple(x + y for x, y in zip(pe, ee))
-                        prev = acc.get(key)
-                        acc[key] = pc * ec if prev is None else prev + pc * ec
-            if d > 1:
-                for key, c in acc.items():
-                    acc[key] = c / d if isinstance(c, Fraction) else Fraction(c, d)
-        merged: dict[tuple[int, ...], object] = {}
-        for level in by_degree:
-            merged.update(level)
-        return TruncatedSeries(self.nvars, self.bound, merged)
+        e = _exp_of_theta(_theta(self._slices()), _Work(DEFAULT_BUDGET))
+        return _series(self.nvars, self.bound, e)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
         return TruncatedSeries(self.nvars, self.bound, {k: fn(c) for k, c in self.terms.items()})
 
     def to_json_list(self) -> list[dict]:
-        items = sorted((sum(k), k) for k in self.terms)
         out = []
-        for _, k in items:
+        for _, k in sorted((sum(k), k) for k in self.terms):
             c = Fraction(self.terms[k])
-            out.append(
-                {"exponents": list(k), "num": str(c.numerator), "den": str(c.denominator)}
-            )
+            out.append({"exponents": list(k), "num": str(c.numerator), "den": str(c.denominator)})
         return out
 
     def __repr__(self) -> str:
         items = sorted((sum(k), k) for k in self.terms)
         bits = []
         for _, k in items[:12]:
-            mono = "*".join(
-                f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(k) if e
-            )
+            mono = "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(k) if e)
             bits.append(f"{self.terms[k]}{'*' + mono if mono else ''}")
         tail = " + ..." if len(items) > 12 else ""
         return f"TruncatedSeries({' + '.join(bits) or '0'}{tail})"
@@ -237,92 +268,81 @@ def _guard_series_size(n: int, bound: int, budget: Budget) -> None:
     charge("truncated series", math.comb(bound + n, n), budget.series_terms)
 
 
+def _trivial_slices(G: Graph, bound: int, sign: int = 1, avoid: int = 0) -> Slices:
+    """T_{avoid-bar}(sign * x): sign^|I| x^I for each independent set I missing avoid."""
+    out: Slices = [{} for _ in range(bound + 1)]
+    for mask in independent_sets(G):
+        d = mask.bit_count()
+        if d <= bound and not mask & avoid:
+            out[d][_spread(mask, _width(bound))] = sign**d
+    return out
+
+
+def _series(nvars: int, bound: int, slices: Slices) -> TruncatedSeries:
+    """The tuple-keyed series of packed slices."""
+    width = _width(bound)
+    digit = (1 << width) - 1
+    shifts = [width * i for i in range(nvars)]
+    terms = {tuple(k >> s & digit for s in shifts): c for x in slices for k, c in x.items()}
+    return TruncatedSeries(nvars, bound, terms)
+
+
 def trivial_series(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> TruncatedSeries:
     """T: one squarefree term per independent set of G (within the bound)."""
-    _guard_series_size(G.n, bound, budget)
-    terms = {}
-    for mask in independent_sets(G):
-        if mask.bit_count() > bound:
-            continue
-        exps = [0] * G.n
-        for v in iter_vertices(mask):
-            exps[v - 1] = 1
-        terms[tuple(exps)] = 1
-    return TruncatedSeries(G.n, bound, terms)
+    return restricted_trivial_series(G, 0, bound, budget)
 
 
 def heap_series(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> TruncatedSeries:
     """H = 1 / T(-x): coefficient of x^m counts heaps of type m."""
-    return trivial_series(G, bound, budget).substitute_neg().reciprocal()
+    return heap_series_triple(G, bound, budget)[1]
 
 
 def pyramid_series(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> TruncatedSeries:
     """P = -log T(-x): coefficient of x^m is (pyramids of type m) / |m|."""
-    return -(trivial_series(G, bound, budget).substitute_neg().log())
+    return heap_series_triple(G, bound, budget)[2]
 
 
 def restricted_trivial_series(
     G: Graph, S: int | Iterable[int], bound: int, budget: Budget = DEFAULT_BUDGET
 ) -> TruncatedSeries:
     """Trivial-heap series of the independent sets avoiding S."""
-    _guard_series_size(G.n, bound, budget)
     smask = S if isinstance(S, int) else vset(S)
     if smask >> G.n:
         raise VertexOutOfRange("S contains vertices outside 1..n")
-    terms = {}
-    for mask in independent_sets(G):
-        if mask & smask or mask.bit_count() > bound:
-            continue
-        exps = [0] * G.n
-        for v in iter_vertices(mask):
-            exps[v - 1] = 1
-        terms[tuple(exps)] = 1
-    return TruncatedSeries(G.n, bound, terms)
+    _guard_series_size(G.n, bound, budget)
+    return _series(G.n, bound, _trivial_slices(G, bound, avoid=smask))
 
 
 def restricted_heap_series(
     G: Graph, S: int | Iterable[int], bound: int, budget: Budget = DEFAULT_BUDGET
 ) -> TruncatedSeries:
     """H_S = T_{S-bar}(-x) / T(-x): heaps whose minimal pieces all have type in S."""
-    numerator = restricted_trivial_series(G, S, bound, budget).substitute_neg()
-    return numerator * heap_series(G, bound, budget)
+    numerator = restricted_trivial_series(G, S, bound, budget).substitute_neg()._slices()
+    h = heap_series(G, bound, budget)._slices()
+    return _series(G.n, bound, _product(numerator, h, _Work(budget)))
 
 
 # ---------------------------------------------------------------------------
 # direct enumeration of heaps of a fixed type
 
 
-def _heap_skeleton(G: Graph, m: Sequence[int]):
-    """Blow-up graph, piece types, forced intra-type arcs, free cross edges."""
+def _iter_heap_source_masks(G: Graph, m: Sequence[int]):
+    """Yield the source (minimal piece) mask of every heap of type m, and the piece types."""
     if len(m) != G.n:
         raise VertexOutOfRange("type vector length mismatch")
     if sum(m) > MAX_HEAP_PIECES:
         raise TooManyVertices(
             f"direct heap enumeration capped at {MAX_HEAP_PIECES} pieces, got {sum(m)}"
         )
-    B = blowup(G, m)
-    types = blowup_types(m)
-    forced = []
-    free = []
-    for u, v in B.edges:
-        if types[u - 1] == types[v - 1]:
-            forced.append((u, v))  # lower copy below higher copy
-        else:
-            free.append((u, v))
-    return B, types, tuple(forced), tuple(free)
-
-
-def _iter_heap_source_masks(G: Graph, m: Sequence[int]):
-    """Yield the source (minimal piece) mask of every heap of type m."""
-    B, types, forced, free = _heap_skeleton(G, m)
-    forced_in = 0
-    for _, h in forced:
-        forced_in |= 1 << (h - 1)
+    B, types = blowup(G, m), blowup_types(m)
+    # copies of one vertex are stacked lower below higher; other edges are free
+    forced = tuple((u, v) for u, v in B.edges if types[u - 1] == types[v - 1])
+    free = tuple((u, v) for u, v in B.edges if types[u - 1] != types[v - 1])
+    forced_in = sum({1 << (h - 1) for _, h in forced})
     for bits in _iter_acyclic_bits(B.n, free, forced):
         in_mask = forced_in
         for e, (u, v) in enumerate(free):
-            h = u if bits >> e & 1 else v
-            in_mask |= 1 << (h - 1)
+            in_mask |= 1 << ((u if bits >> e & 1 else v) - 1)
         yield B.full_mask & ~in_mask, types
 
 
@@ -333,92 +353,69 @@ def direct_heap_count(G: Graph, m: Sequence[int]) -> int:
 
 def direct_pyramid_count(G: Graph, m: Sequence[int]) -> int:
     """Number of heaps of type m with a unique minimal piece."""
-    return sum(
-        1 for srcs, _ in _iter_heap_source_masks(G, m) if srcs.bit_count() == 1
-    )
+    return sum(1 for srcs, _ in _iter_heap_source_masks(G, m) if srcs.bit_count() == 1)
 
 
 def direct_restricted_count(G: Graph, S: int | Iterable[int], m: Sequence[int]) -> int:
     """Number of heaps of type m all of whose minimal pieces have type in S."""
     smask = S if isinstance(S, int) else vset(S)
-    count = 0
-    for srcs, types in _iter_heap_source_masks(G, m):
-        ok = True
-        for piece in iter_vertices(srcs):
-            if not smask >> (types[piece - 1] - 1) & 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(
+        all(smask >> (types[piece - 1] - 1) & 1 for piece in iter_vertices(srcs))
+        for srcs, types in _iter_heap_source_masks(G, m)
+    )
 
 
 def heap_series_triple(
     G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """(T, H, P): T built once, H = 1 / T(-x) by series inversion and
-    P = -log T(-x) by series logarithm."""
-    trivial = trivial_series(G, bound, budget)
-    t_neg = trivial.substitute_neg()
-    return trivial, t_neg.reciprocal(), -(t_neg.log())
+    """(T, H, P): H = 1 / F by inversion and P = -log F by theta log, from one F = T(-x)."""
+    _guard_series_size(G.n, bound, budget)
+    f = _trivial_slices(G, bound, -1)
+    h = _inverse(f, _Work(budget))
+    p = _divide_theta(_theta_log(f, _Work(budget)), -1)
+    return tuple(_series(G.n, bound, s) for s in (_trivial_slices(G, bound), h, p))
 
 
-def verify_heap_identities(
-    G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET
-) -> IdentityReport:
-    """Check the series identities up to the degree bound (see
-    check_heap_identities)."""
+def verify_heap_identities(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> IdentityReport:
+    """Check the series identities up to the degree bound (see check_heap_identities)."""
     return check_heap_identities(G, *heap_series_triple(G, bound, budget), budget)
 
 
 def check_heap_identities(
-    G: Graph,
-    trivial: TruncatedSeries,
-    H: TruncatedSeries,
-    P: TruncatedSeries,
+    G: Graph, trivial: TruncatedSeries, H: TruncatedSeries, P: TruncatedSeries,
     budget: Budget = DEFAULT_BUDGET,
 ) -> IdentityReport:
-    """Check the series identities for T, H and P as heap_series_triple
-    builds them, up to their degree bound.
+    """Check the identities for T, H and P as heap_series_triple builds them.
 
-    Always: H * T(-x) = 1 and exp(P) = H (H built by series inversion,
-    P by series logarithm, so the exp comparison crosses two independent
-    arithmetic routes).  For n <= 5, every S subset of [n] additionally
-    gets the quotient identity H_S * T(-x) = T_{S-bar}(-x) plus an
-    orientation-side shadow: the coefficient of each squarefree x^V in
-    H_S must count the acyclic orientations of G[V] whose sources all
-    lie in S.
+    Always: H * T(-x) = 1, and exp(P) = H with exp rebuilding H from theta P
+    alone, so the comparison crosses the inversion and log routes.  For
+    n <= 5, every S subset of [n] also gets H_S * T(-x) = T_{S-bar}(-x) and
+    an orientation-side shadow: the coefficient of each squarefree x^V in
+    H_S must count the acyclic orientations of G[V] whose sources lie in S.
     """
-    from .orientations import subgraph_source_mask_tally
-
     bound = trivial.bound
-    t_neg = trivial.substitute_neg()
+    f = trivial.substitute_neg()._slices()
+    h = H._slices()
     failures = []
-    one = TruncatedSeries.constant(G.n, bound)
-    if H * t_neg != one:
+    if _product(h, f, _Work(budget)) != [{0: 1}] + [{} for _ in range(bound)]:
         failures.append("H * T(-x) != 1")
-    if P.exp() != H:
+    # theta drops the constant term, and exp(P) = H needs P_0 = 0
+    if P.constant_term() != 0 or _exp_of_theta(_theta(P._slices()), _Work(budget)) != h:
         failures.append("exp(P) != H")
     if G.n <= 5:
+        _guard_series_size(G.n, bound, budget)
         vsets = [V for V in range(1 << G.n) if V.bit_count() <= bound]
         tallies = {V: subgraph_source_mask_tally(G, V) for V in vsets}
         for smask in range(1 << G.n):
-            numerator = restricted_trivial_series(G, smask, bound, budget).substitute_neg()
-            h_s = numerator * H
-            if h_s * t_neg != numerator:
-                failures.append(
-                    f"H_S * T(-x) != T_Sbar(-x) for S={vset_tuple(smask)}"
-                )
+            numerator = _trivial_slices(G, bound, -1, smask)
+            h_s = _product(numerator, h, _Work(budget))
+            if _product(h_s, f, _Work(budget)) != numerator:
+                failures.append(f"H_S * T(-x) != T_Sbar(-x) for S={vset_tuple(smask)}")
             for V in vsets:
                 want = sum(c for src, c in tallies[V] if src & ~smask == 0)
-                if h_s.coefficient_of_set(V) != want:
+                if h_s[V.bit_count()].get(_spread(V, _width(bound)), 0) != want:
                     failures.append(
                         f"[x^V]H_S != source-confined count for "
                         f"S={vset_tuple(smask)}, V={vset_tuple(V)}"
                     )
-    return IdentityReport(
-        identity="heap_series",
-        params={"n": G.n, "bound": bound},
-        equal=not failures,
-        details=tuple(failures),
-    )
+    return IdentityReport("heap_series", {"n": G.n, "bound": bound}, not failures, tuple(failures))

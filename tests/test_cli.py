@@ -205,5 +205,21 @@ def test_theorem1_huge_j_exits_quickly():
     assert json.loads(proc.stdout)["equal"] is True
 
 
+def test_heaps_huge_bound_exits_2_quickly(tmp_path):
+    # K1 at D = 100000 has only 100001 terms, but exp(P) multiplies about
+    # D^2 / 2 coefficient pairs; the pair charge stops it early
+    root = Path(__file__).resolve().parents[1]
+    k1 = tmp_path / "k1.txt"
+    k1.write_text("1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromheap.cli", "heaps", "--graph", str(k1), "-D", "100000"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "budget" in proc.stderr
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,12 @@ from chromheap.graphs import from_edge_list, vset
 from chromheap.orientations import acyclic_count_table, unique_source_min_table
 from chromheap.series import (
     TruncatedSeries,
+    check_heap_identities,
     direct_heap_count,
     direct_pyramid_count,
     direct_restricted_count,
     heap_series,
+    heap_series_triple,
     pyramid_series,
     restricted_heap_series,
     restricted_trivial_series,
@@ -172,6 +175,56 @@ def test_heap_identities_verify(c4, k3):
     for g in (c4, k3, path_graph(5), from_edge_list(3, [])):
         report = verify_heap_identities(g, 6)
         assert report.equal, report.details
+
+
+# Packed monomials use max(1, D.bit_length()) bits per variable: exponents
+# up to D = 1 and 7 fill their field, and D = 2, 4 and 8 start a wider one.
+PACKING_EDGES = (0, 1, 2, 4, 7, 8)
+
+
+@pytest.mark.parametrize("bound", PACKING_EDGES)
+def test_closed_forms_at_packing_edges(bound):
+    k1 = complete_graph(1)
+    assert heap_series(k1, bound).terms == {(k,): 1 for k in range(bound + 1)}
+    assert pyramid_series(k1, bound).terms == {(k,): Fraction(1, k) for k in range(1, bound + 1)}
+    monomials = [(a, d - a) for d in range(bound + 1) for a in range(d + 1)]
+    e2 = from_edge_list(2, [])
+    assert heap_series(e2, bound).terms == {m: 1 for m in monomials}
+    k2 = complete_graph(2)
+    assert heap_series(k2, bound).terms == {(a, b): comb(a + b, a) for a, b in monomials}
+    for g in (k1, e2, k2):
+        report = verify_heap_identities(g, bound)
+        assert report.equal, report.details
+
+
+def _bumped(s, exps):
+    terms = dict(s.terms)
+    terms[exps] = terms.get(exps, 0) + 1
+    return TruncatedSeries(s.nvars, s.bound, terms)
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(4), path_graph(6)], ids=["c4", "p6"])
+def test_perturbed_series_are_reported(graph):
+    bound = 4
+    t, h, p = heap_series_triple(graph, bound)
+    assert check_heap_identities(graph, t, h, p).equal
+    constant = (0,) * graph.n
+    for exps in [constant, *sorted(h.terms)[:: max(1, len(h.terms) // 12)]]:
+        details = check_heap_identities(graph, t, _bumped(h, exps), p).details
+        assert "H * T(-x) != 1" in details and "exp(P) != H" in details, exps
+        details = check_heap_identities(graph, t, h, _bumped(p, exps)).details
+        assert "exp(P) != H" in details and "H * T(-x) != 1" not in details, exps
+
+
+def test_work_charge_stops_long_recurrences():
+    tight = Budget(enumeration_limit=100)
+    k1 = complete_graph(1)
+    # exp(P) on K1 multiplies 1 + 2 + ... + D coefficient pairs
+    assert verify_heap_identities(k1, 13, tight).equal  # 91 pairs
+    with pytest.raises(ResourceBudgetExceeded):
+        verify_heap_identities(k1, 14, tight)  # 105 pairs
+    with pytest.raises(ResourceBudgetExceeded):
+        heap_series(complete_graph(3), 40, tight)
 
 
 def test_budget_guard():
