@@ -232,19 +232,31 @@ def is_clique(G: Graph, vertices: int | Iterable[int]) -> bool:
     return True
 
 
-def is_connected(G: Graph) -> bool:
-    """Connectivity; the empty graph and single vertices count as connected."""
-    if G.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+def reachable(adj: Sequence[int], v: int) -> int:
+    """Mask of the vertices reachable from v along the neighbor masks adj."""
+    mask = frontier = 1 << (v - 1)
     while frontier:
         nxt = 0
-        for v in iter_vertices(frontier):
-            nxt |= G.adj[v - 1]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == G.full_mask
+        for w in iter_vertices(frontier):
+            nxt |= adj[w - 1]
+        frontier = nxt & ~mask
+        mask |= nxt
+    return mask
+
+
+def components(G: Graph) -> list[int]:
+    """Vertex masks of the connected components, by increasing least vertex."""
+    out = []
+    left = G.full_mask
+    while left:
+        out.append(reachable(G.adj, vset_min(left)))
+        left &= ~out[-1]
+    return out
+
+
+def is_connected(G: Graph) -> bool:
+    """Connectivity; the empty graph and single vertices count as connected."""
+    return len(components(G)) <= 1
 
 
 def ascending_relabel(

@@ -35,6 +35,7 @@ from .graphs import (
     independence_table,
     induced_subgraph,
     iter_vertices,
+    reachable,
     vset_min,
     vset_tuple,
 )
@@ -164,24 +165,11 @@ def is_acyclic(G: Graph, o: Orientation) -> bool:
     return seen == G.n
 
 
-def _reachable(out: Sequence[int], v: int) -> int:
-    mask = 1 << (v - 1)
-    frontier = mask
-    while frontier:
-        nxt = 0
-        for w in iter_vertices(frontier):
-            nxt |= out[w - 1]
-        frontier = nxt & ~mask
-        mask |= nxt
-    return mask
-
-
-def _source_components_from_out(n: int, full: int, out: Sequence[int]) -> tuple[int, ...]:
+def _source_components_from_out(full: int, out: Sequence[int]) -> tuple[int, ...]:
     comps = []
     used = 0
     while used != full:
-        v = vset_min(full & ~used)
-        comp = _reachable(out, v) & ~used
+        comp = reachable(out, vset_min(full & ~used)) & ~used
         comps.append(comp)
         used |= comp
     return tuple(comps)
@@ -197,7 +185,7 @@ def source_components(G: Graph, o: Orientation) -> tuple[int, ...]:
     """
     if not is_acyclic(G, o):
         raise CyclicOrientation("source components need an acyclic orientation")
-    return _source_components_from_out(G.n, G.full_mask, _out_masks(G, o))
+    return _source_components_from_out(G.full_mask, _out_masks(G, o))
 
 
 def lambda_partition(components: Sequence[int]) -> tuple[int, ...]:
@@ -373,7 +361,7 @@ def subgraph_lambda_tally(G: Graph, mask: int) -> tuple[tuple[tuple[int, ...], i
     H, _ = induced_subgraph(G, mask)
     tally: Counter[tuple[int, ...]] = Counter()
     for o in enumerate_acyclic(H):
-        comps = _source_components_from_out(H.n, H.full_mask, _out_masks(H, o))
+        comps = _source_components_from_out(H.full_mask, _out_masks(H, o))
         tally[lambda_partition(comps)] += 1
     return tuple(sorted(tally.items()))
 

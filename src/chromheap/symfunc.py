@@ -19,6 +19,7 @@ reference both read it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -28,13 +29,8 @@ from typing import Callable, Mapping, Sequence
 
 from .chromatic import enumerate_colorings
 from .config import DEFAULT_BUDGET, Budget, charge
-from .errors import (
-    InternalInvariantViolation,
-    NonIntegerResult,
-    ResourceBudgetExceeded,
-    TooManyEdges,
-)
-from .graphs import Graph, blowup, induced_subgraph
+from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded
+from .graphs import Graph, blowup, components, induced_subgraph
 from .orientations import (
     Orientation,
     acyclic_orientation_list,
@@ -45,11 +41,11 @@ from .orientations import (
     source_components,
     subgraph_acyclic_count,
     subgraph_lambda_tally,
+    unique_source_min_table,
 )
 from .polynomials import Poly
 from .reports import IdentityReport
 
-MAX_CSF_EDGES = 20
 MAX_EXPAND_VARS = 8
 MAX_EXPAND_DEGREE = 8
 MAX_COLORING_VARS = 5
@@ -171,67 +167,63 @@ def omega(X: PPoly) -> PPoly:
     )
 
 
+def _connected_csf(H: Graph) -> dict[tuple[int, ...], int]:
+    """X_H of a connected graph by the walk of csf_powersum, partitions as
+    ascending tuples.  X[V] first sums b[B] X[V - B] per block size
+    k = |B|, then adds the part k with the sign (-1)^(k-1) of c(B)."""
+    b = unique_source_min_table(H)
+    X = [{(): 1}]
+    for V in range(1, 1 << H.n):
+        rest = V ^ (V & -V)
+        by_size: dict[int, dict[tuple[int, ...], int]] = {}
+        U = rest
+        while True:
+            if w := b[V ^ U]:
+                acc = by_size.setdefault((V ^ U).bit_count(), {})
+                for lam, c in X[U].items():
+                    acc[lam] = acc.get(lam, 0) + w * c
+            if not U:
+                break
+            U = (U - 1) & rest
+        out: dict[tuple[int, ...], int] = {}
+        for k, acc in by_size.items():
+            for lam, c in acc.items():
+                if c:
+                    i = bisect_left(lam, k)
+                    key = lam[:i] + (k,) + lam[i:]
+                    out[key] = out.get(key, 0) + (c if k & 1 else -c)
+        X.append(out)
+    return X[-1]
+
+
 def csf_powersum(G: Graph, budget: Budget = DEFAULT_BUDGET) -> PPoly:
-    """X_G in the p-basis via the edge-subset expansion.
+    """X_G in the p-basis from the min-sourced block table.
 
-    A subset S of E contributes (-1)^|S| p_lambda, where lambda lists the
-    component sizes of (V, S).  Components are tracked by a union-find with
-    rollback so the 2^|E| subsets share work along the inclusion tree.
+    Grouping Stanley's edge-subset formula by the vertex blocks that an edge
+    set S connects gives X_G = sum over set partitions pi of V of
+    prod_{B in pi} c(B) p_lambda(pi), with c(B) the sum of (-1)^|S| over the
+    edge sets S of G[B] connecting B.  By Greene-Zaslavsky, c(B) =
+    (-1)^(|B|-1) b[B], where b[B] counts the acyclic orientations of G[B]
+    whose unique source is min B (unique_source_min_table; 0 when G[B] is
+    disconnected).  Putting min V in the first block gives the walk
+
+        X[V] = sum over U subset of V - min V of c(V - U) p_|V-U| X[U],
+
+    run per connected component and joined, since X is multiplicative.
+    Its sum over components of (3^n_c - 1)/2 steps is charged first.
     """
-    edges = G.edges
-    if len(edges) > MAX_CSF_EDGES:
-        raise TooManyEdges(
-            f"{len(edges)} edges; the subset expansion stops at {MAX_CSF_EDGES}"
-        )
-    charge("enumeration", 1 << len(edges), budget.enumeration_limit)
-    n = G.n
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    comp: dict[int, int] = {1: n} if n else {}
-    terms: dict[tuple[int, ...], int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def bump(s: int, d: int) -> None:
-        c = comp.get(s, 0) + d
-        if c:
-            comp[s] = c
-        else:
-            del comp[s]
-
-    def rec(i: int, sign: int) -> None:
-        if i == len(edges):
-            lam: list[int] = []
-            for s in sorted(comp, reverse=True):
-                lam.extend([s] * comp[s])
-            key = tuple(lam)
-            terms[key] = terms.get(key, 0) + sign
-            return
-        rec(i + 1, sign)
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            rec(i + 1, -sign)
-            return
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        bump(size[ru], -1)
-        bump(size[rv], -1)
-        parent[rv] = ru
-        size[ru] += size[rv]
-        bump(size[ru], 1)
-        rec(i + 1, -sign)
-        bump(size[ru], -1)
-        size[ru] -= size[rv]
-        parent[rv] = rv
-        bump(size[ru], 1)
-        bump(size[rv], 1)
-
-    rec(0, 1)
-    return PPoly(terms)
+    comps = components(G)
+    steps = sum((3 ** mask.bit_count() - 1) // 2 for mask in comps)
+    charge("enumeration", steps, budget.enumeration_limit)
+    terms: Counter[tuple[int, ...]] = Counter({(): 1})
+    for mask in comps:
+        part = _connected_csf(induced_subgraph(G, mask)[0])
+        joined: Counter[tuple[int, ...]] = Counter()
+        for lam, c in terms.items():
+            for mu, d in part.items():
+                joined[tuple(sorted(lam + mu))] += c * d
+        terms = joined
+    return PPoly({lam[::-1]: c for lam, c in terms.items()})
 
 
 def specialize_p_to_q(X: PPoly) -> Poly:

@@ -161,10 +161,16 @@ def test_usage_errors_exit_2(capsys, c4_file, tmp_path):
     assert run_cli(capsys, "reciprocity", "--check", "nosuch", "--graph", c4_file)[0] == 2
 
 
-def test_resource_error_exits_2(capsys, c4_file):
+def test_resource_error_exits_2(capsys, c4_file, tmp_path):
     code, _, err = run_cli(
         capsys, "heaps", "--graph", c4_file, "-D", "6", "--budget", "series_terms=2"
     )
+    assert code == 2
+    assert "budget" in err
+    # P16 is one 16-vertex component; -N 0 skips the finite expansion
+    p16 = tmp_path / "p16.txt"
+    p16.write_text("16\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 16)))
+    code, _, err = run_cli(capsys, "symfunc", "--graph", str(p16), "-N", "0")
     assert code == 2
     assert "budget" in err
 

@@ -20,6 +20,7 @@ from chromheap.graphs import (
     blowup,
     blowup_types,
     check_ascending_labels,
+    components,
     from_edge_list,
     independence_table,
     independent_sets,
@@ -121,6 +122,10 @@ def test_clique_and_connectivity(c4, k3):
     assert is_connected(c4)
     assert not is_connected(from_edge_list(4, [(1, 2)]))
     assert is_connected(complete_graph(1))
+    assert components(from_edge_list(0, [])) == []
+    assert components(c4) == [c4.full_mask]
+    g = from_edge_list(6, [(2, 5), (5, 6), (1, 3)])
+    assert components(g) == [vset([1, 3]), vset([2, 5, 6]), vset([4])]
 
 
 def test_independent_sets_c4(c4):

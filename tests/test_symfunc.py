@@ -4,7 +4,11 @@ enumeration route."""
 
 from __future__ import annotations
 
+import random
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -12,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromheap.chromatic import chromatic_polynomial
-from chromheap.errors import InternalInvariantViolation, NonIntegerResult
+from chromheap.config import DEFAULT_BUDGET
+from chromheap.errors import (
+    InternalInvariantViolation,
+    NonIntegerResult,
+    ResourceBudgetExceeded,
+)
 from chromheap.families import complete_graph, cycle_graph, path_graph, star_graph
 from chromheap.graphs import blowup, from_edge_list
 from chromheap.orientations import acyclic_orientation_list
@@ -104,7 +113,7 @@ def test_edgeless_graph_is_pure_p1(k1):
 @given(graphs(max_n=6), st.integers(min_value=0, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_expansion_matches_direct_colorings(g, n_colors):
-    # the colorings route never touches the edge-subset expansion
+    # the colorings route never touches the block table or its walk
     assert expand_finite(csf_powersum(g), n_colors) == csf_from_colorings(g, n_colors)
 
 
@@ -131,6 +140,54 @@ def test_omega_coefficients_count_orientations(g):
     w = omega(csf_powersum(g))
     assert all(c > 0 for c in w.terms.values())
     assert w.sum_of_coefficients() == len(acyclic_orientation_list(g))
+
+
+def _seeded_gnm(n: int, m: int, seed: int):
+    pairs = list(combinations(range(1, n + 1), 2))
+    return from_edge_list(n, random.Random(seed).sample(pairs, m))
+
+
+def test_expansion_past_twenty_edges():
+    # K7 has 21 edges and the seeded G(8, 22) has 22
+    for g in (complete_graph(7), _seeded_gnm(8, 22, 2026)):
+        assert g.num_edges > 20
+        assert verify_orientation_expansion(g).equal
+
+
+def test_connected_block_budget_is_charged_first():
+    # one 16-vertex component needs (3^16 - 1)/2 steps, past the default
+    # enumeration_limit, and is refused before any table is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetExceeded):
+        csf_powersum(path_graph(16))
+    assert time.perf_counter() - start < 1.0
+    # the charge is exact: (3^3 - 1)/2 + (3^1 - 1)/2 = 14 for K3 plus a vertex
+    g = from_edge_list(4, [(1, 2), (1, 3), (2, 3)])
+    assert csf_powersum(g, DEFAULT_BUDGET.with_overrides(enumeration_limit=14))
+    with pytest.raises(ResourceBudgetExceeded):
+        csf_powersum(g, DEFAULT_BUDGET.with_overrides(enumeration_limit=13))
+
+
+def _ppoly_product(*factors: PPoly) -> PPoly:
+    out: Counter = Counter({(): 1})
+    for f in factors:
+        step: Counter = Counter()
+        for lam, c in out.items():
+            for mu, d in f.terms.items():
+                step[tuple(sorted(lam + mu, reverse=True))] += c * d
+        out = step
+    return PPoly(out)
+
+
+def test_components_multiply():
+    # four disjoint triangles and ten isolated vertices: 22 vertices, each
+    # component small, so X = (p111 - 3 p21 + 2 p3)^4 p1^10
+    edges = [(t + a, t + b) for t in (1, 4, 7, 10) for a, b in ((0, 1), (0, 2), (1, 2))]
+    g = from_edge_list(22, edges)
+    triangle = PPoly({(1, 1, 1): 1, (2, 1): -3, (3,): 2})
+    want = _ppoly_product(*[triangle] * 4, *[PPoly({(1,): 1})] * 10)
+    assert want.coefficient((3, 3, 3, 3) + (1,) * 10) == 16
+    assert csf_powersum(g) == want
 
 
 def test_non_integral_specialization_rejected():
@@ -283,9 +340,10 @@ def test_multicolor_specializes_to_multicolor_polynomial(c4):
     # compare by value rather than asking for an integer-coefficient Poly
     from chromheap.chromatic import multicolor_polynomial
 
-    for m in [(1, 1, 1, 1), (2, 0, 1, 0)]:
-        x = multicolor_csf(c4, m)
-        poly = multicolor_polynomial(c4, m)
+    # the blow-up of K4 by (2, 2, 2, 2) is K8, with 28 edges
+    for g, m in [(c4, (1, 1, 1, 1)), (c4, (2, 0, 1, 0)), (complete_graph(4), (2, 2, 2, 2))]:
+        x = multicolor_csf(g, m)
+        poly = multicolor_polynomial(g, m)
         for q in range(sum(m) + 2):
             assert specialize_p_to_value(x, q) == poly.evaluate(q)
 
