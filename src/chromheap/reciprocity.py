@@ -40,12 +40,13 @@ from .graphs import (
     vset,
 )
 from .orientations import (
+    _out_masks,
+    _source_components_from_out,
     acyclic_count_table,
     acyclic_orientation_list,
     enumerate_acyclic,
     is_descent_free,
     sinks,
-    source_components,
     sources,
     subgraph_acyclic_count,
     subgraph_component_histogram,
@@ -326,7 +327,7 @@ def check_sink_rooted(
     for o in acyclic_orientation_list(G):
         if sinks(G, o) != 1:  # vertex 1 alone
             continue
-        comps = source_components(G, o)
+        comps = _source_components_from_out(G.full_mask, _out_masks(G, o))
         if len(comps) != d + i:
             continue
         holders = set()

@@ -11,7 +11,9 @@ keeps only the terms where min(V) lies in the g-block, so repeated
 anchored products count tuples whose blocks come in decreasing order of
 their minima: each unordered partition once.
 
-Every subset-lattice sum in the package goes through these functions.
+Every subset-lattice sum in the package goes through these functions
+but one: symfunc._connected_csf walks the anchored loop itself, since
+its entries are maps from partitions to coefficients, not numbers.
 One full table costs 3^n steps, an anchored one about half as many.
 """
 from __future__ import annotations

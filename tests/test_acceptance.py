@@ -11,7 +11,6 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from chromheap.chromatic import chi_hat, chromatic_polynomial, multicolor_polynomial
-from chromheap.errors import NotAClique
 from chromheap.families import (
     complete_graph,
     cycle_graph,

@@ -91,6 +91,26 @@ def test_orientations(capsys, c4_file):
     assert payload["by_source_components"] == {"1": "3", "2": "6", "3": "4", "4": "1"}
 
 
+def test_orientations_past_the_enumeration_cap(capsys, tmp_path):
+    # K8 has 28 edges; Greene-Zaslavsky reads its tallies off chi
+    k8 = tmp_path / "k8.txt"
+    k8.write_text("8\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9)))
+    code, out, _ = run_cli(capsys, "orientations", "--graph", str(k8))
+    assert code == 0
+    assert json.loads(out)["acyclic_count"] == "40320"
+
+
+def test_orientations_on_many_components(capsys, tmp_path):
+    # 31 vertices and one edge: chi is taken per component
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text("31\n1 2\n")
+    code, out, _ = run_cli(capsys, "orientations", "--graph", str(sparse))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["acyclic_count"] == "2"
+    assert payload["by_source_components"] == {"30": "1", "31": "1"}
+
+
 def test_heaps_identities(capsys, c4_file):
     code, out, _ = run_cli(capsys, "heaps", "--graph", c4_file, "-D", "4")
     payload = json.loads(out)

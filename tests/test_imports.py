@@ -1,4 +1,4 @@
-"""Every name a library module imports is used by that module."""
+"""Every name a module imports is used by it: library, scripts and tests."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import chromheap
 
 PACKAGE = Path(chromheap.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -25,7 +26,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = [entry for p in modules for entry in _unused_imports(p)]
+    folders = (PACKAGE, ROOT / "scripts", ROOT / "tests")
+    modules = [sorted(p for p in f.glob("*.py") if p.name != "__init__.py") for f in folders]
+    assert all(modules)
+    unused = [entry for paths in modules for p in paths for entry in _unused_imports(p)]
     assert unused == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from chromheap.errors import CyclicOrientation, NotAdjacent
-from chromheap.families import complete_graph, cycle_graph, path_graph
+from chromheap.families import complete_graph, path_graph
 from chromheap.graphs import from_edge_list, induced_subgraph, iter_vertices, vset
 from chromheap.orientations import (
     acyclic_count_table,

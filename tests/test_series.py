@@ -216,6 +216,14 @@ def test_perturbed_series_are_reported(graph):
         assert "exp(P) != H" in details and "H * T(-x) != 1" not in details, exps
 
 
+def test_shadow_catches_another_graphs_triple(c4):
+    # P4's triple satisfies H * T(-x) = 1 and exp(P) = H by itself, so only
+    # the orientation-side shadow can tell it does not belong to C4
+    details = check_heap_identities(c4, *heap_series_triple(path_graph(4), 4)).details
+    assert len(details) == 64
+    assert all(d.startswith("[x^V]H_S != source-confined count for S=") for d in details)
+
+
 def test_work_charge_stops_long_recurrences():
     tight = Budget(enumeration_limit=100)
     k1 = complete_graph(1)

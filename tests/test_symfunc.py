@@ -22,7 +22,7 @@ from chromheap.errors import (
     NonIntegerResult,
     ResourceBudgetExceeded,
 )
-from chromheap.families import complete_graph, cycle_graph, path_graph, star_graph
+from chromheap.families import complete_graph, path_graph, star_graph
 from chromheap.graphs import blowup, from_edge_list
 from chromheap.orientations import acyclic_orientation_list
 from chromheap.symfunc import (
