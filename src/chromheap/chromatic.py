@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -22,7 +21,7 @@ from .errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from .graphs import Graph, blowup, independence_table, is_clique, vset
+from .graphs import Graph, blowup, graph_cached, independence_table, is_clique, vset
 from .polynomials import BivariatePoly, Poly
 from .subsets import convolve, power
 
@@ -121,10 +120,9 @@ def _chromatic_subset_dp(G: Graph) -> Poly:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _chromatic_cached(G: Graph) -> Poly:
-    memo: dict = {}
-    return Poly(_chrom_delcon(G.adj, memo, DEFAULT_BUDGET))
+@graph_cached
+def _chromatic_delcon(G: Graph, budget: Budget) -> Poly:
+    return Poly(_chrom_delcon(G.adj, {}, budget))
 
 
 def chromatic_polynomial(
@@ -141,10 +139,7 @@ def chromatic_polynomial(
             raise TooManyVertices(
                 f"deletion-contraction capped at n={DELCON_MAX_VERTICES}, got {G.n}"
             )
-        if method == "auto" and budget == DEFAULT_BUDGET:
-            return _chromatic_cached(G)
-        memo: dict = {}
-        return Poly(_chrom_delcon(G.adj, memo, budget))
+        return _chromatic_delcon(G, budget)
     if method == "subset_dp":
         return _chromatic_subset_dp(G)
     raise ValueError(f"unknown method {method!r}")

@@ -7,13 +7,14 @@ Conventions used everywhere in this package:
 * n is capped at 63 so every vertex set fits a machine word.
 
 Enumeration-heavy helpers (independent_sets, the 2^n tables elsewhere)
-carry tighter caps documented per function.
+carry tighter caps documented per function.  Results are memoized on
+the graph object (graph_cached), never process-wide, so they die with it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadLabeling,
@@ -70,14 +71,6 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # every lru_cache keyed on a Graph hashes it on each lookup
-        return hash((self.n, self.adj))
-
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (u, v) with u < v, sorted lexicographically.
@@ -94,6 +87,10 @@ class Graph:
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def _memo(self) -> dict:  # filled by graph_cached
+        return {}
 
     @property
     def num_edges(self) -> int:
@@ -115,6 +112,21 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise VertexOutOfRange(f"vertex {v} not in 1..{self.n}")
+
+
+def graph_cached(fn: Callable) -> Callable:
+    """Memoize fn(G, *args), args positional, in G's own memo: freed with G."""
+
+    @wraps(fn)
+    def cached(G: Graph, *args):
+        key = (fn, *args)
+        try:
+            return G._memo[key]
+        except KeyError:
+            G._memo[key] = value = fn(G, *args)
+            return value
+
+    return cached
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -310,7 +322,7 @@ def check_ascending_labels(G: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def independence_table(G: Graph) -> bytes:
     """byte[mask] = 1 iff mask is an independent set; needs n <= 22."""
     if G.n > TABLE_MAX_VERTICES:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    graph_cached,
     independence_table,
     induced_subgraph,
     iter_vertices,
@@ -120,7 +121,7 @@ def enumerate_acyclic(G: Graph) -> Iterator[Orientation]:
         yield Orientation(edges, bits)
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def acyclic_orientation_list(G: Graph) -> tuple[Orientation, ...]:
     return tuple(enumerate_acyclic(G))
 
@@ -297,26 +298,16 @@ def count_bipolar(G: Graph, u: int, v: int) -> int:
 # enumerated statistics of induced subgraphs (independent oracle paths)
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def subgraph_acyclic_count(G: Graph, mask: int) -> int:
     """Acyclic orientation count of G[mask] by direct enumeration."""
     H, _ = induced_subgraph(G, mask)
     return sum(1 for _ in _iter_acyclic_bits(H.n, H.edges))
 
 
-@lru_cache(maxsize=None)
 def subgraph_unique_source_count(G: Graph, mask: int, source: int) -> int:
-    """Acyclic orientations of G[mask] whose unique source is the original
-    vertex `source`, by direct enumeration."""
-    if not mask >> (source - 1) & 1:
-        return 0
-    H, labels = induced_subgraph(G, mask)
-    want = 1 << labels.index(source)
-    count = 0
-    for o in enumerate_acyclic(H):
-        if sources(H, o) == want:
-            count += 1
-    return count
+    """Enumerated acyclic orientations of G[mask] with unique source `source`."""
+    return dict(subgraph_source_mask_tally(G, mask)).get(1 << (source - 1), 0)
 
 
 def subgraph_unique_source_min_count(G: Graph, mask: int) -> int:
@@ -326,7 +317,7 @@ def subgraph_unique_source_min_count(G: Graph, mask: int) -> int:
     return subgraph_unique_source_count(G, mask, vset_min(mask))
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def subgraph_component_histogram(G: Graph, mask: int) -> tuple[tuple[int, int], ...]:
     """Histogram (component count -> orientations) of G[mask], folded from
     the partition tally; the empty graph contributes one orientation with
@@ -337,7 +328,6 @@ def subgraph_component_histogram(G: Graph, mask: int) -> tuple[tuple[int, int], 
     return tuple(sorted(tally.items()))
 
 
-@lru_cache(maxsize=None)
 def subgraph_source_mask_tally(G: Graph, mask: int) -> tuple[tuple[int, int], ...]:
     """Histogram (source bitmask -> orientations) of G[mask], with source
     masks translated back to the labels of G."""
@@ -353,7 +343,7 @@ def subgraph_source_mask_tally(G: Graph, mask: int) -> tuple[tuple[int, int], ..
     return tuple(sorted(tally.items()))
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def subgraph_lambda_tally(G: Graph, mask: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Histogram (component size partition -> orientations) of G[mask]."""
     if mask == 0:

@@ -266,6 +266,8 @@ class TruncatedSeries:
 
 
 def _guard_series_size(n: int, bound: int, budget: Budget) -> None:
+    if bound < 0:
+        raise VertexOutOfRange(f"degree bound D must be nonnegative, got {bound}")
     charge("truncated series", math.comb(bound + n, n), budget.series_terms)
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 from .chromatic import enumerate_colorings
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded
-from .graphs import Graph, blowup, components, induced_subgraph
+from .graphs import Graph, blowup, components, graph_cached, induced_subgraph
 from .orientations import (
     Orientation,
     acyclic_orientation_list,
@@ -437,6 +437,7 @@ def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> Mul
 # orientation-side building blocks
 
 
+# keyed on (partition, slot range), not on a graph; the vertex caps bound it
 @lru_cache(maxsize=None)
 def _expand_partition(
     lam: tuple[int, ...], nvars: int, lo: int, hi: int
@@ -449,7 +450,7 @@ def _expand_partition(
     )
 
 
-@lru_cache(maxsize=None)
+@graph_cached
 def _lambda_weight(G: Graph, mask: int, nvars: int, lo: int, hi: int) -> MultiPoly:
     """Sum of p_{lambda(gamma)} over acyclic orientations of G[mask],
     expanded in variable slots lo..hi-1."""

@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 from chromheap import cli
+from chromheap.chromatic import chromatic_polynomial
+from chromheap.config import Budget
+from chromheap.errors import ResourceBudgetExceeded
+from chromheap.families import cycle_graph
 from chromheap.reports import ReciprocityReport
 
 
@@ -45,19 +49,16 @@ def test_chromatic_json_coefficients(capsys, c4_file):
     assert payload["polynomial"]["coeffs"] == ["0", "-3", "6", "-4", "1"]
 
 
-def test_chromatic_reaches_cache_unless_budget_overridden(capsys, c4_file):
-    from chromheap.chromatic import _chromatic_cached
-
-    _chromatic_cached.cache_clear()
-    first = run_cli(capsys, "chromatic", "--graph", c4_file)
-    second = run_cli(capsys, "chromatic", "--graph", c4_file)
-    info = _chromatic_cached.cache_info()
-    assert info.hits >= 1
+def test_chromatic_memo_never_answers_another_budget(capsys, c4_file):
+    g = cycle_graph(4)
+    chromatic_polynomial(g)
+    with pytest.raises(ResourceBudgetExceeded):
+        chromatic_polynomial(g, budget=Budget(memo_entries=1))
+    default = run_cli(capsys, "chromatic", "--graph", c4_file)
     overridden = run_cli(
         capsys, "chromatic", "--graph", c4_file, "--budget", "memo_entries=500000"
     )
-    assert _chromatic_cached.cache_info() == info
-    assert first == second == overridden
+    assert default == overridden
 
 
 def test_chromatic_derivative_evaluation(capsys, c4_file):
@@ -193,6 +194,12 @@ def test_resource_error_exits_2(capsys, c4_file, tmp_path):
     code, _, err = run_cli(capsys, "symfunc", "--graph", str(p16), "-N", "0")
     assert code == 2
     assert "budget" in err
+
+
+def test_heaps_negative_bound_names_the_bound(capsys, c4_file):
+    code, _, err = run_cli(capsys, "heaps", "--graph", c4_file, "-D", "-1")
+    assert code == 2
+    assert "degree bound D must be nonnegative, got -1" in err
 
 
 def test_mismatch_exits_1(capsys, c4_file, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a module imports is used by it: library, scripts and tests."""
+"""Every name a module imports is used by it: library, scripts and tests.
+No library function keeps a process-wide cache keyed on a graph."""
 
 from __future__ import annotations
 
@@ -31,3 +32,27 @@ def test_no_unused_imports():
     assert all(modules)
     unused = [entry for paths in modules for p in paths for entry in _unused_imports(p)]
     assert unused == []
+
+
+def _graph_keyed_caches(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or not node.args.args:
+            continue
+        first = node.args.args[0].annotation
+        if first is None or ast.unparse(first).strip("'\"") != "Graph":
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("lru_cache", "cache"):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_no_process_wide_cache_keyed_on_a_graph():
+    # such a cache keeps every graph the process has seen alive;
+    # graphs.graph_cached memoizes on the graph object instead
+    found = [entry for p in sorted(PACKAGE.glob("*.py")) for entry in _graph_keyed_caches(p)]
+    assert found == []

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from chromheap.errors import InternalInvariantViolation, ResourceBudgetExceeded
+from chromheap.errors import InternalInvariantViolation, ResourceBudgetExceeded, VertexOutOfRange
 from chromheap.config import Budget
 from chromheap.families import complete_graph, cycle_graph, path_graph
 from chromheap.graphs import from_edge_list, vset
@@ -239,6 +239,11 @@ def test_budget_guard():
     g = complete_graph(3)
     with pytest.raises(ResourceBudgetExceeded):
         trivial_series(g, 30, Budget(series_terms=10))
+
+
+def test_negative_bound_is_rejected(c4):
+    with pytest.raises(VertexOutOfRange, match="degree bound D"):
+        heap_series(c4, -1)
 
 
 def test_direct_counts_small():
