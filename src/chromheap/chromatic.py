@@ -1,19 +1,21 @@
 """Chromatic polynomials, exact and cross-checkable several ways.
 
-The default route is deletion-contraction memoized on a canonical
-lower-triangular adjacency encoding; a subset dynamic program over
-independent sets provides an independent second route, and brute-force
-coloring counters (one backtracking enumerator) a third.  All arithmetic
-is exact.
+chi has three routes that share no code: deletion-contraction memoized on
+a canonical lower-triangular adjacency encoding (the default); "subset_dp",
+ranked inclusion-exclusion whose table also gives the two-variable
+polynomial; and count_independent_tuples, a power of the independence
+table under the subset kernel.  Brute-force coloring counters (one
+backtracking enumerator) check all three.  All arithmetic is exact.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_BUDGET, Budget
+from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import (
     InternalInvariantViolation,
     NotAClique,
@@ -21,9 +23,9 @@ from .errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from .graphs import Graph, blowup, graph_cached, independence_table, is_clique, vset
+from .graphs import TABLE_MAX_VERTICES, Graph, blowup, graph_cached, independence_table, is_clique, vset
 from .polynomials import BivariatePoly, Poly
-from .subsets import convolve, power
+from .subsets import power
 
 DELCON_MAX_VERTICES = 30
 
@@ -96,27 +98,57 @@ def _chrom_delcon(adj: tuple[int, ...], memo: dict, budget: Budget) -> tuple[int
     return result
 
 
-def _chromatic_subset_dp(G: Graph) -> Poly:
-    """Chromatic polynomial as sum over k of (partitions of the vertex set
-    into k nonempty independent blocks) times q falling k.
+def _ranked_table(G: Graph, budget: Budget) -> list[list[int]]:
+    """A[w][k]: k! times the partitions of w-vertex subsets into k
+    independent blocks, by ranked inclusion-exclusion (Bjorklund, Husfeldt,
+    Koivisto, Set partitioning via inclusion-exclusion, 2009):
 
-    The k-block table is the anchored product of the (k-1)-block table with
-    the nonempty independent sets, so each partition is counted once."""
+        A[w][k] = sum over S of (-1)^(w-|S|) C(n-|S|, w-|S|) [z^w](f_S - 1)^k
+
+    with f_S(z) the rank polynomial of the independent subsets of S, from
+    f_S = f_{S-v} + z f_{S-N[v]}, v = min S, packed n+1 bits a coefficient.
+    Its z-coefficient is |S|, so each distinct f_S is powered once and the
+    powers are summed per size.  [z^w](f_S - 1)^k <= C(nk, w) <= C(n^2, n)
+    and under 2^n sets share a size, so a slot of C(n^2, n).bit_length() +
+    n + 1 bits holds every sum.  The 2^n table is charged as the memo.
+    """
     n = G.n
-    if n == 0:
-        return Poly.one()
-    blocks = list(independence_table(G))
-    blocks[0] = 0
-    full = G.full_mask
-    poly = Poly.zero()
-    ff = Poly.one()
-    cur = blocks
-    for k in range(1, n + 1):
-        if k > 1:
-            cur = convolve(cur, blocks, n, anchored=True)
-        ff = ff * Poly((-(k - 1), 1))
-        if cur[full]:
-            poly = poly + cur[full] * ff
+    if n > TABLE_MAX_VERTICES:
+        raise TooManyVertices(f"2^n table capped at n={TABLE_MAX_VERTICES}, got n={n}")
+    charge("subset rank table entries", 1 << n, budget.memo_entries)
+    bits, adj = n + 1, G.adj
+    f = [1] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        f[S] = f[S ^ low] + (f[S & ~low & ~adj[low.bit_length() - 1]] << bits)
+    width = math.comb(n * n, n).bit_length() + n + 1
+    keep, digit, slot = (1 << width * (n + 1)) - 1, (1 << bits) - 1, (1 << width) - 1
+    sums = [[0] * (n + 1) for _ in range(n + 1)]  # sums[|S|][k]: packed (f_S - 1)^k
+    for packed, count in Counter(f).items():
+        base = 0  # f_S - 1, repacked a slot per coefficient
+        for i in range(n, 0, -1):
+            base = (base | packed >> bits * i & digit) << width
+        row, power_k = sums[packed >> bits & digit], count
+        for k in range(1, n + 1):
+            power_k = power_k * base & keep
+            row[k] += power_k
+    A = [[0] * (n + 1) for _ in range(n + 1)]
+    A[0][0] = 1  # the empty set, split into no blocks
+    for s in range(1, n + 1):
+        for w in range(s, n + 1):
+            c = math.comb(n - s, w - s) * (-1) ** (w - s)
+            for k in range(1, w + 1):
+                A[w][k] += c * (sums[s][k] >> width * w & slot)
+    return A
+
+
+def _falling_sum(row: Sequence[int]) -> Poly:
+    """Sum over k of row[k] / k! times q falling k."""
+    poly, ff = Poly.zero(), Poly.one()
+    for k, c in enumerate(row):
+        if k:
+            ff = ff * Poly((-(k - 1), 1))
+        poly = poly + c // math.factorial(k) * ff
     return poly
 
 
@@ -131,8 +163,9 @@ def chromatic_polynomial(
     """Chromatic polynomial of G, constant coefficient first.
 
     method "auto" and "deletion_contraction" use memoized deletion-
-    contraction (n <= 30); "subset_dp" partitions the vertex set into
-    independent blocks (n <= 22).
+    contraction (n <= 30); "subset_dp" counts partitions of the vertex set
+    into independent blocks by ranked inclusion-exclusion (n <= 22, and a
+    2^n table within budget.memo_entries: n <= 19 by default).
     """
     if method in ("auto", "deletion_contraction"):
         if G.n > DELCON_MAX_VERTICES:
@@ -141,7 +174,7 @@ def chromatic_polynomial(
             )
         return _chromatic_delcon(G, budget)
     if method == "subset_dp":
-        return _chromatic_subset_dp(G)
+        return _falling_sum(_ranked_table(G, budget)[G.n])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -205,9 +238,8 @@ def count_independent_tuples(G: Graph, q: int) -> int:
     """Ordered q-tuples of pairwise disjoint independent sets covering V.
 
     Equals the chromatic polynomial at q.  It is the q-th subset-convolution
-    power of the independence table, so it shares the subset kernel with
-    the subset_dp route: it is an oracle independent of deletion-contraction
-    only, and must not be compared with subset_dp.
+    power of the independence table, an oracle that shares no code with
+    deletion-contraction or subset_dp.
     """
     if q < 0:
         raise VertexOutOfRange("color count must be nonnegative")
@@ -228,39 +260,24 @@ def chi_hat(G: Graph, d: int, budget: Budget = DEFAULT_BUDGET) -> Poly:
     return chi.divide_exact(Poly.falling_factorial(d))
 
 
+@graph_cached
+def _bivariate_terms(G: Graph, budget: Budget) -> dict[tuple[int, int], int]:
+    rows = enumerate(_ranked_table(G, budget))
+    return {(i, G.n - w): c for w, row in rows for i, c in enumerate(_falling_sum(row).coeffs)}
+
+
 def bivariate_polynomial(G: Graph, budget: Budget = DEFAULT_BUDGET) -> BivariatePoly:
     """Two-variable coloring polynomial: sum over vertex subsets W of
     chi_{G[W]}(q) * r^(n - |W|).
 
     At (q, r) it counts colorings with q proper colors and r free colors,
-    where only the proper colors carry adjacency constraints.
+    where only the proper colors carry adjacency constraints.  Row w of the
+    subset_dp table sums chi_{G[W]} over |W| = w.  Memoized on G; each call
+    returns a fresh copy.
     """
     if G.n > 16:
         raise TooManyVertices(f"bivariate polynomial capped at n=16, got {G.n}")
-    memo: dict = {}
-    out = BivariatePoly()
-    n = G.n
-    for W in range(1 << n):
-        vertices = []
-        m = W
-        while m:
-            vertices.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        index = {v: i for i, v in enumerate(vertices)}
-        adj = []
-        for v in vertices:
-            new = 0
-            mm = G.adj[v] & W
-            while mm:
-                w = (mm & -mm).bit_length() - 1
-                new |= 1 << index[w]
-                mm &= mm - 1
-            adj.append(new)
-        coeffs = _chrom_delcon(tuple(adj), memo, budget)
-        j = n - W.bit_count()
-        for i, c in enumerate(coeffs):
-            out.add_term(i, j, c)
-    return out
+    return BivariatePoly(_bivariate_terms(G, budget))
 
 
 def count_bivariate_colorings(G: Graph, q: int, r: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInvariantViolation
+from .errors import InternalInvariantViolation, VertexOutOfRange
 
 
 def _normalize(coeffs: Sequence) -> tuple:
@@ -107,6 +107,8 @@ class Poly:
     __rmul__ = __mul__
 
     def derivative(self, order: int = 1) -> "Poly":
+        if order < 0:
+            raise VertexOutOfRange(f"derivative order d must be nonnegative, got {order}")
         p = self
         for _ in range(order):
             p = Poly(tuple(k * c for k, c in enumerate(p.coeffs))[1:])

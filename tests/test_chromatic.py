@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,18 @@ from chromheap.chromatic import (
     enumerate_colorings,
     multicolor_polynomial,
 )
-from chromheap.errors import NotAClique
-from chromheap.families import complete_graph, cycle_graph, path_graph, random_graph
-from chromheap.graphs import blowup, from_edge_list, independence_table
-from chromheap.polynomials import Poly
+from chromheap.config import Budget
+from chromheap.errors import NotAClique, ResourceBudgetExceeded, VertexOutOfRange
+from chromheap.families import (
+    complete_graph,
+    cycle_graph,
+    fixed_family,
+    path_graph,
+    random_graph,
+    seeded_family,
+)
+from chromheap.graphs import blowup, from_edge_list, independence_table, induced_subgraph
+from chromheap.polynomials import BivariatePoly, Poly
 
 from conftest import graphs
 
@@ -152,3 +162,78 @@ def test_disconnected_graph_factorizes():
     g = from_edge_list(4, [(1, 2), (3, 4)])
     k2chi = chromatic_polynomial(from_edge_list(2, [(1, 2)]))
     assert chromatic_polynomial(g) == k2chi * k2chi
+
+
+def test_three_chi_routes_agree_on_the_family():
+    # deletion-contraction, ranked inclusion-exclusion and the subset-kernel
+    # power of the independence table share no code
+    for name, g in fixed_family() + seeded_family():
+        chi = chromatic_polynomial(g, method="deletion_contraction")
+        assert chromatic_polynomial(g, method="subset_dp") == chi, name
+        for q in range(4):
+            assert count_independent_tuples(g, q) == chi.evaluate(q), (name, q)
+
+
+def _bivariate_by_subsets(g):
+    """sum over vertex subsets W of chi_{G[W]}(q) r^(n - |W|), chi by
+    deletion-contraction on each induced subgraph."""
+    out = BivariatePoly()
+    for W in range(1 << g.n):
+        chi = chromatic_polynomial(induced_subgraph(g, W)[0], method="deletion_contraction")
+        for i, c in enumerate(chi.coeffs):
+            out.add_term(i, g.n - W.bit_count(), c)
+    return out
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_bivariate_is_the_subset_sum_of_chi(g):
+    assert bivariate_polynomial(g) == _bivariate_by_subsets(g)
+
+
+def test_bivariate_is_the_subset_sum_of_chi_gnp10():
+    for seed in range(2):
+        g = random_graph(random.Random(seed), 10, 0.5)
+        assert bivariate_polynomial(g) == _bivariate_by_subsets(g)
+
+
+def test_packing_extremes():
+    # the edgeless graph has the largest rank polynomials, the complete
+    # graph the smallest: chi = q^n, (q + r)^n and q falling n
+    for n in range(17):
+        g = from_edge_list(n, [])
+        assert chromatic_polynomial(g, method="subset_dp") == Poly.q_power(n)
+        binomial = BivariatePoly({(i, n - i): math.comb(n, i) for i in range(n + 1)})
+        assert bivariate_polynomial(g) == binomial
+    for n in range(1, 13):
+        chi = chromatic_polynomial(complete_graph(n), method="subset_dp")
+        assert chi == Poly.falling_factorial(n)
+
+
+def test_bivariate_result_is_a_fresh_copy(c4):
+    first = bivariate_polynomial(c4)
+    want = dict(first.terms)
+    first.add_term(0, 0, 7)
+    first.add_term(1, 3, -4)
+    assert bivariate_polynomial(c4).terms == want
+
+
+def test_subset_table_is_charged_before_it_is_built(c4):
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetExceeded):
+        chromatic_polynomial(from_edge_list(20, []), method="subset_dp")
+    assert time.perf_counter() - start < 1.0
+    # C4 has 2^4 = 16 vertex subsets
+    for call in (
+        lambda b: chromatic_polynomial(c4, method="subset_dp", budget=b),
+        lambda b: bivariate_polynomial(c4, budget=b),
+    ):
+        with pytest.raises(ResourceBudgetExceeded):
+            call(Budget(memo_entries=15))
+        call(Budget(memo_entries=16))
+
+
+def test_negative_derivative_order_is_rejected():
+    with pytest.raises(VertexOutOfRange, match="nonnegative, got -1"):
+        Poly((0, -3, 6, -4, 1)).derivative(-1)
+    assert Poly((0, -3, 6, -4, 1)).derivative(0) == Poly((0, -3, 6, -4, 1))

@@ -202,6 +202,12 @@ def test_heaps_negative_bound_names_the_bound(capsys, c4_file):
     assert "degree bound D must be nonnegative, got -1" in err
 
 
+def test_chromatic_negative_derivative_order_exits_2(capsys, c4_file):
+    code, out, err = run_cli(capsys, "chromatic", "--graph", c4_file, "-d", "-1")
+    assert (code, out) == (2, "")
+    assert "derivative order d must be nonnegative, got -1" in err
+
+
 def test_mismatch_exits_1(capsys, c4_file, monkeypatch):
     def fake_check(g, i, j, budget):
         return ReciprocityReport(

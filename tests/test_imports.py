@@ -19,7 +19,7 @@ def _unused_imports(path: Path) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -56,3 +56,44 @@ def test_no_process_wide_cache_keyed_on_a_graph():
     # graphs.graph_cached memoizes on the graph object instead
     found = [entry for p in sorted(PACKAGE.glob("*.py")) for entry in _graph_keyed_caches(p)]
     assert found == []
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_chi_routes_share_no_code():
+    # chi has three routes: deletion-contraction, subset_dp (with the
+    # bivariate polynomial on the same table) and count_independent_tuples
+    # on the subset kernel.  Each route's functions, followed through
+    # chromatic.py, reach neither of the other two.
+    tree = ast.parse((PACKAGE / "chromatic.py").read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    kernel = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "subsets":
+            kernel |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            # the graph primitives and containers never reach the subset kernel
+            helper = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+            assert not [n for n in ast.walk(helper) if isinstance(n, ast.ImportFrom) and n.module == "subsets"]
+    assert kernel
+
+    def reached(roots: set[str]) -> set[str]:
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += _names_used(functions[name]) if name in functions else []
+        return seen
+
+    branch = next(
+        node.body for node in ast.walk(functions["chromatic_polynomial"])
+        if isinstance(node, ast.If) and "'subset_dp'" in ast.unparse(node.test)
+    )
+    table_route = reached(set().union(*map(_names_used, branch)) | {"bivariate_polynomial"})
+    assert "_ranked_table" in table_route
+    assert table_route.isdisjoint(kernel | {"_chrom_delcon", "_chromatic_delcon", "chromatic_polynomial"})
+    assert reached({"_chrom_delcon"}).isdisjoint(kernel)
+    assert "power" in reached({"count_independent_tuples"})

@@ -8,6 +8,7 @@ import weakref
 from chromheap.chromatic import chromatic_polynomial
 from chromheap.graphs import ascending_relabel, from_edge_list
 from chromheap.reciprocity import (
+    check_bivariate_reciprocity,
     check_greene_zaslavsky,
     check_shifted_reciprocity,
     check_sink_rooted,
@@ -26,6 +27,7 @@ def test_checked_graph_is_freed():
         check_greene_zaslavsky(g, i)
     check_stanley_reciprocity(g, 2)
     check_shifted_reciprocity(g, 1, 1)
+    check_bivariate_reciprocity(g, 1, 1)
     verify_split_alphabet(g, 2, 2)
     verify_orientation_expansion(g)
     verify_combined(g, 1, 1, 1)
