@@ -1,11 +1,12 @@
 """Chromatic polynomials, exact and cross-checkable several ways.
 
 chi has three routes that share no code: deletion-contraction memoized on
-a canonical lower-triangular adjacency encoding (the default); "subset_dp",
-ranked inclusion-exclusion whose table also gives the two-variable
-polynomial; and count_independent_tuples, a power of the independence
-table under the subset kernel.  Brute-force coloring counters (one
-backtracking enumerator) check all three.  All arithmetic is exact.
+a canonical lower-triangular adjacency encoding; "subset_dp", ranked
+inclusion-exclusion whose table also gives the two-variable polynomial;
+and count_independent_tuples, a power of the independence table under the
+subset kernel.  The default, "auto", peels components and leaves off and
+hands each 2-core to one of the first two.  Brute-force coloring counters
+(one backtracking enumerator) check all three.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -23,7 +24,10 @@ from .errors import (
     TooManyVertices,
     VertexOutOfRange,
 )
-from .graphs import TABLE_MAX_VERTICES, Graph, blowup, graph_cached, independence_table, is_clique, vset
+from .graphs import (
+    TABLE_MAX_VERTICES, Graph, blowup, components, graph_cached, independence_table,
+    induced_subgraph, is_clique, iter_vertices, vset,
+)
 from .polynomials import BivariatePoly, Poly
 from .subsets import power
 
@@ -157,17 +161,45 @@ def _chromatic_delcon(G: Graph, budget: Budget) -> Poly:
     return Poly(_chrom_delcon(G.adj, {}, budget))
 
 
+@graph_cached
+def _chromatic_reduced(G: Graph, budget: Budget) -> Poly:
+    """chi over the components (Read, An introduction to chromatic
+    polynomials, 1968): a vertex peeled with one neighbour left is a factor
+    q - 1, a tree's last vertex a factor q.  The rest of a component is its
+    2-core, which takes the ranked table if its 2^n entries fit the budget."""
+    chi = Poly.one()
+    for core in components(G):
+        peeled = True
+        while peeled:
+            peeled = False
+            for v in iter_vertices(core):
+                nb = G.adj[v - 1] & core
+                if not nb & (nb - 1):
+                    core ^= 1 << (v - 1)
+                    chi = chi * Poly((-1, 1) if nb else (0, 1))
+                    peeled = True
+        if core:
+            H = induced_subgraph(G, core)[0]
+            fits = H.n <= TABLE_MAX_VERTICES and 1 << H.n <= budget.memo_entries
+            route = "subset_dp" if fits else "deletion_contraction"
+            chi = chi * chromatic_polynomial(H, route, budget)
+    return chi
+
+
 def chromatic_polynomial(
     G: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET
 ) -> Poly:
     """Chromatic polynomial of G, constant coefficient first.
 
-    method "auto" and "deletion_contraction" use memoized deletion-
-    contraction (n <= 30); "subset_dp" counts partitions of the vertex set
-    into independent blocks by ranked inclusion-exclusion (n <= 22, and a
-    2^n table within budget.memo_entries: n <= 19 by default).
+    method "deletion_contraction" runs memoized deletion-contraction
+    (n <= 30) and "subset_dp" ranked inclusion-exclusion (n <= 22, and a
+    2^n table within budget.memo_entries: n <= 19 by default), both on the
+    whole graph.  "auto" peels components and leaves off, then takes each
+    2-core by subset_dp where it fits and by deletion-contraction otherwise.
     """
-    if method in ("auto", "deletion_contraction"):
+    if method == "auto":
+        return _chromatic_reduced(G, budget)
+    if method == "deletion_contraction":
         if G.n > DELCON_MAX_VERTICES:
             raise TooManyVertices(
                 f"deletion-contraction capped at n={DELCON_MAX_VERTICES}, got {G.n}"

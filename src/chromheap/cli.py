@@ -19,8 +19,7 @@ from typing import Callable
 from .chromatic import bivariate_polynomial, chi_hat, chromatic_polynomial
 from .config import DEFAULT_BUDGET, Budget
 from .errors import ChromheapError
-from .graphs import Graph, components, induced_subgraph, load_graph
-from .polynomials import Poly
+from .graphs import Graph, load_graph
 from .reciprocity import (
     check_bivariate_reciprocity,
     check_clique_quotient_reciprocity,
@@ -210,12 +209,9 @@ def _cmd_bivariate(args, budget: Budget) -> tuple[int, dict]:
 
 
 def _cmd_orientations(args, budget: Budget) -> tuple[int, dict]:
-    # Greene-Zaslavsky: |[q^i] chi| acyclic orientations have i source
-    # components; chi is taken per component, so n may exceed the chi cap
+    # Greene-Zaslavsky: |[q^i] chi| acyclic orientations have i source components
     g = _require_graph(args)
-    chi = Poly.one()
-    for mask in components(g):
-        chi = chi * chromatic_polynomial(induced_subgraph(g, mask)[0], budget=budget)
+    chi = chromatic_polynomial(g, budget=budget)
     hist = {i: abs(c) for i, c in enumerate(chi.coeffs) if c}
     return 0, {
         "graph": _graph_summary(g),

@@ -366,9 +366,8 @@ def check_bivariate_reciprocity(
         raise TooManyVertices(f"bivariate DP capped at n=12, got {n}")
     if j < 0 or k < 0:
         raise VertexOutOfRange("j and k must be nonnegative")
-    a = acyclic_count_table(G)
-    ones = [1] * (1 << n)
-    count = _block_tuples(n, [(a, j), (ones, k)])[G.full_mask]
+    free = power(acyclic_count_table(G), j, n)  # k bare blocks cover the rest in k^|rest| ways
+    count = sum(c * k ** (n - T.bit_count()) for T, c in enumerate(free) if c)
     poly = bivariate_polynomial(G, budget=budget)
     poly_side = _sign(n) * poly.evaluate(-j, -k)
     return ReciprocityReport(

@@ -6,15 +6,16 @@ two tables is the subset convolution
     (f * g)[V] = sum over U subset of V of f[U] g[V \\ U],
 
 so a k-fold product counts ordered k-tuples of pairwise disjoint blocks
-covering V, each block weighted by its own table.  The anchored product
-keeps only the terms where min(V) lies in the g-block, so repeated
-anchored products count tuples whose blocks come in decreasing order of
-their minima: each unordered partition once.
+covering V, each block weighted by its own table.  The anchored solve
+keeps only the terms where min(V) lies in the block it solves for, so
+its tuples come in decreasing order of their blocks' minima: each
+unordered partition once.
 
 Every subset-lattice sum in the package goes through these functions
-but one: symfunc._connected_csf walks the anchored loop itself, since
-its entries are maps from partitions to coefficients, not numbers.
-One full table costs 3^n steps, an anchored one about half as many.
+but two, which walk the lattice themselves: symfunc._connected_csf,
+whose entries are maps from partitions to coefficients, and
+chromatic._ranked_table, which sums rank polynomials for chi.  One full
+table costs 3^n steps, an anchored one about half as many.
 """
 from __future__ import annotations
 
@@ -28,21 +29,17 @@ def identity(n: int) -> list[int]:
     return out
 
 
-def convolve(
-    f: Sequence[int], g: Sequence[int], n: int, anchored: bool = False
-) -> list[int]:
-    """h[V] = sum over U subset of V of f[U] g[V \\ U]; with anchored, U
-    ranges only over subsets of V minus min(V)."""
-    if not anchored and f.count(0) > g.count(0):
-        # the plain product is symmetric: look up the sparser table first,
-        # so that its zeros skip the second lookup
+def convolve(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
+    """h[V] = sum over U subset of V of f[U] g[V \\ U]."""
+    if f.count(0) > g.count(0):
+        # the product is symmetric: look up the sparser table first, so
+        # that its zeros skip the second lookup
         f, g = g, f
     size = 1 << n
     out = [0] * size
     for V in range(size):
-        rest = V ^ (V & -V) if anchored else V
         s = 0
-        U = rest
+        U = V
         while True:
             y = g[V ^ U]
             if y:
@@ -51,7 +48,7 @@ def convolve(
                     s += x * y
             if not U:
                 break
-            U = (U - 1) & rest
+            U = (U - 1) & V
         out[V] = s
     return out
 
@@ -59,7 +56,8 @@ def convolve(
 def solve(
     f: Sequence[int], rhs: Sequence[int], n: int, anchored: bool = False
 ) -> list[int]:
-    """The table h with convolve(f, h, n, anchored) == rhs; needs f[empty] = 1."""
+    """The table h with convolve(f, h, n) == rhs; needs f[empty] = 1.
+    With anchored, min(V) always lies in the block of h."""
     if f[0] != 1:
         raise ValueError("solve needs f[empty set] = 1")
     size = 1 << n

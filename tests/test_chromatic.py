@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromheap import chromatic
 from chromheap.chromatic import (
     bivariate_polynomial,
     chi_hat,
@@ -166,12 +167,100 @@ def test_disconnected_graph_factorizes():
 
 def test_three_chi_routes_agree_on_the_family():
     # deletion-contraction, ranked inclusion-exclusion and the subset-kernel
-    # power of the independence table share no code
+    # power of the independence table share no code; auto reduces first
     for name, g in fixed_family() + seeded_family():
         chi = chromatic_polynomial(g, method="deletion_contraction")
         assert chromatic_polynomial(g, method="subset_dp") == chi, name
+        assert chromatic_polynomial(g) == chi, name
         for q in range(4):
             assert count_independent_tuples(g, q) == chi.evaluate(q), (name, q)
+
+
+def _relabeled(rng, n, edges):
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return from_edge_list(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+def _forest(rng, n, join=0.9):
+    """A random forest: each vertex joins an earlier one or starts a tree."""
+    edges = [(v, rng.randrange(1, v)) for v in range(2, n + 1) if rng.random() < join]
+    return _relabeled(rng, n, edges), n - len(edges)
+
+
+def _closed_form(c, t, core=Poly.one()):
+    """core * q^c * (q - 1)^t"""
+    chi = core * Poly.q_power(c)
+    for _ in range(t):
+        chi = chi * Poly((-1, 1))
+    return chi
+
+
+def test_auto_gives_forests_their_closed_form():
+    # chi of a forest with c trees is q^c (q - 1)^(n - c); deletion-
+    # contraction alone takes seconds on a 24-vertex tree
+    rng = random.Random(5)
+    cases = [_forest(rng, n) for n in range(31) for _ in range(2)] + [_forest(rng, 40)]
+    cases += [(from_edge_list(0, []), 0), (from_edge_list(3, []), 3)]
+    cases += [(from_edge_list(5, [(2, 4)]), 4)]  # a K2 component and three isolated vertices
+    start = time.perf_counter()
+    for g, c in cases:
+        assert chromatic_polynomial(g) == _closed_form(c, g.n - c), (g.n, c)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_auto_peels_pendant_trees_off_a_cycle():
+    # chi(C_k) (q - 1)^t for t tree vertices hung on a k-cycle, where
+    # chi(C_k) = (q - 1)^k + (-1)^k (q - 1)
+    rng = random.Random(6)
+    for k in range(3, 9):
+        for t in (0, 1, 5, 15):
+            edges = [(v, v % k + 1) for v in range(1, k + 1)]
+            edges += [(v, rng.randrange(1, v)) for v in range(k + 1, k + t + 1)]
+            g = _relabeled(rng, k + t, edges)
+            want = _closed_form(0, t, _closed_form(0, k) + _closed_form(0, 1) * (-1) ** k)
+            assert chromatic_polynomial(g) == want, (k, t)
+            if g.n <= 12:
+                assert chromatic_polynomial(g, method="deletion_contraction") == want
+
+
+def test_auto_sends_each_core_where_it_fits(monkeypatch):
+    # a tree needs no table and no memo; a 15-vertex core (a cycle with two
+    # chords, a pendant path on it) takes the ranked table at 2^15 memo
+    # entries and deletion-contraction below
+    edges = [(v, v % 15 + 1) for v in range(1, 16)] + [(1, 8), (4, 12)]
+    edges += [(16, 3), (17, 16), (18, 17)]
+    routes = []
+
+    def spy(name):
+        fn = getattr(chromatic, name)
+
+        def called(*args):
+            routes.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(chromatic, name, called)
+
+    spy("_ranked_table")
+    spy("_chrom_delcon")
+    chis = []
+    for entries in (2**15, 2**15 - 1):
+        routes.clear()
+        chis.append(chromatic_polynomial(from_edge_list(18, edges), budget=Budget(memo_entries=entries)))
+        assert set(routes) == {"_ranked_table" if entries == 2**15 else "_chrom_delcon"}
+    assert chis[0] == chis[1] == chromatic_polynomial(from_edge_list(18, edges), method="subset_dp")
+    routes.clear()
+    tree, _ = _forest(random.Random(7), 20, join=1.0)
+    assert chromatic_polynomial(tree, budget=Budget(memo_entries=1)) == _closed_form(1, 19)
+    assert routes == []
+
+
+def test_auto_splits_components_before_choosing():
+    # two 12-vertex cores fit 2^12 memo entries one at a time, not together
+    core = random_graph(random.Random(8), 12, 0.5)
+    twice = from_edge_list(24, core.edges + tuple((u + 12, v + 12) for u, v in core.edges))
+    chi = chromatic_polynomial(core, method="subset_dp")
+    assert chromatic_polynomial(twice, budget=Budget(memo_entries=2**12)) == chi * chi
 
 
 def _bivariate_by_subsets(g):

@@ -66,7 +66,8 @@ def test_chi_routes_share_no_code():
     # chi has three routes: deletion-contraction, subset_dp (with the
     # bivariate polynomial on the same table) and count_independent_tuples
     # on the subset kernel.  Each route's functions, followed through
-    # chromatic.py, reach neither of the other two.
+    # chromatic.py, reach neither of the other two.  "auto" reduces the
+    # graph and then calls the first two; no route reaches the reduction.
     tree = ast.parse((PACKAGE / "chromatic.py").read_text())
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     kernel = set()
@@ -88,12 +89,19 @@ def test_chi_routes_share_no_code():
                 todo += _names_used(functions[name]) if name in functions else []
         return seen
 
-    branch = next(
-        node.body for node in ast.walk(functions["chromatic_polynomial"])
-        if isinstance(node, ast.If) and "'subset_dp'" in ast.unparse(node.test)
-    )
-    table_route = reached(set().union(*map(_names_used, branch)) | {"bivariate_polynomial"})
+    def branch(method: str) -> set[str]:
+        body = next(
+            node.body for node in ast.walk(functions["chromatic_polynomial"])
+            if isinstance(node, ast.If) and repr(method) in ast.unparse(node.test)
+        )
+        return set().union(*map(_names_used, body))
+
+    reduction = "_chromatic_reduced"
+    assert {reduction, "_ranked_table", "_chrom_delcon"} <= reached(branch("auto"))
+    table_route = reached(branch("subset_dp") | {"bivariate_polynomial"})
     assert "_ranked_table" in table_route
-    assert table_route.isdisjoint(kernel | {"_chrom_delcon", "_chromatic_delcon", "chromatic_polynomial"})
-    assert reached({"_chrom_delcon"}).isdisjoint(kernel)
+    assert table_route.isdisjoint(kernel | {"_chrom_delcon", "_chromatic_delcon", "chromatic_polynomial", reduction})
+    delcon_route = reached(branch("deletion_contraction") | {"_chrom_delcon"})
+    assert "_chrom_delcon" in delcon_route
+    assert delcon_route.isdisjoint(kernel | {"_ranked_table", reduction})
     assert "power" in reached({"count_independent_tuples"})
