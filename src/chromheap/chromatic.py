@@ -211,7 +211,8 @@ def chromatic_polynomial(
 
 
 def enumerate_colorings(
-    G: Graph, colors: int, proper: int, sizes: Sequence[int] | None = None
+    G: Graph, colors: int, proper: int, sizes: Sequence[int] | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """Every way to give each vertex v a set of sizes[v-1] colors out of
     0..colors-1 (one color each by default), as its tuple of color classes:
@@ -220,13 +221,16 @@ def enumerate_colorings(
     Each color below `proper` must get an independent class, and the walk
     backtracks on adjacency as it places each vertex; colors at or above
     `proper` are free.  Vertex 1 chooses slowest, its sets in lexicographic
-    order.
+    order.  The walk has at most prod_v C(colors, sizes[v-1]) leaves
+    (colors^n by default), charged to enumeration_limit before the first.
     """
     n = G.n
     if sizes is None:
         sizes = [1] * n
     if len(sizes) != n:
         raise VertexOutOfRange(f"{len(sizes)} color-set sizes for {n} vertices")
+    leaves = math.prod(math.comb(max(colors, 0), k) for k in sizes)
+    charge("coloring enumeration", leaves, budget.enumeration_limit)
     classes = [0] * max(colors, 0)
     if n == 0:
         yield tuple(classes)

@@ -33,20 +33,14 @@ from .reports import IdentityReport, ReciprocityReport
 from .selfcheck import run_selfcheck
 from .series import check_heap_identities, heap_series_triple
 from .symfunc import (
-    combined_sides,
     csf_powersum,
-    descent_expansion_sides,
     expand_finite,
+    identity_sides,
     omega,
     orientation_lambda_tally,
+    sides_report,
     specialize_p_to_q,
-    split_alphabet_sides,
-    superfication_sides,
-    verify_combined,
-    verify_descent_expansion,
     verify_orientation_expansion,
-    verify_split_alphabet,
-    verify_superfication,
 )
 
 # --check tokens for the reciprocity command: function + flag names, in
@@ -61,14 +55,15 @@ RECIPROCITY_CHECKS: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "bivariate": (check_bivariate_reciprocity, ("j", "k")),
 }
 
-# --check tokens for the symfunc command: verifier + flag names + the
-# matching two-sided computation used to print both sides on mismatch.
-SYMFUNC_CHECKS: dict[str, tuple[Callable, tuple[str, ...], Callable | None]] = {
-    "prop51": (verify_descent_expansion, ("N",), descent_expansion_sides),
-    "prop52": (verify_orientation_expansion, (), None),
-    "thm53": (verify_split_alphabet, ("ny", "nz"), split_alphabet_sides),
-    "superfication": (verify_superfication, ("ny", "nz"), superfication_sides),
-    "combined": (verify_combined, ("ny", "nz", "nw"), combined_sides),
+# --check tokens for the symfunc command: identity + its alphabet size
+# flags, in the order identity_sides takes them.  prop52 compares p-basis
+# functions and has no alphabets.
+SYMFUNC_CHECKS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "prop51": ("descent_expansion", ("N",)),
+    "prop52": ("orientation_expansion", ()),
+    "thm53": ("split_alphabet", ("ny", "nz")),
+    "superfication": ("superfication", ("ny", "nz")),
+    "combined": ("combined_alphabets", ("ny", "nz", "nw")),
 }
 
 
@@ -260,22 +255,23 @@ def _cmd_symfunc(args, budget: Budget) -> tuple[int, dict]:
                 "terms": expand_finite(x, args.N).to_json_list(),
             }
         return 0, payload
-    fn, flags, sides = SYMFUNC_CHECKS[args.check]
-    report: IdentityReport = fn(g, *_gather(args, flags, args.check), budget=budget)
+    identity, flags = SYMFUNC_CHECKS[args.check]
+    if flags:
+        sizes = _gather(args, flags, args.check)
+        lhs, rhs = identity_sides(g, identity, *sizes, budget=budget)
+        report: IdentityReport = sides_report(g, identity, sizes, lhs, rhs)
+    else:
+        report = verify_orientation_expansion(g, budget)
     payload = {"graph": _graph_summary(g), **report.to_json_dict()}
-    if not report.equal:
-        # mismatch contract: show both sides
-        if sides is None:
-            lhs = omega(csf_powersum(g, budget))
-            rhs = orientation_lambda_tally(g)
-            payload["lhs"] = lhs.to_json_dict()
-            payload["rhs"] = rhs.to_json_dict()
-        else:
-            lhs, rhs = sides(g, *_gather(args, flags, args.check), budget)
-            payload["lhs"] = lhs.to_json_list()
-            payload["rhs"] = rhs.to_json_list()
-        return 1, payload
-    return 0, payload
+    if report.equal:
+        return 0, payload
+    # mismatch contract: show both sides
+    if flags:
+        payload["lhs"], payload["rhs"] = lhs.to_json_list(), rhs.to_json_list()
+    else:
+        payload["lhs"] = omega(csf_powersum(g, budget)).to_json_dict()
+        payload["rhs"] = orientation_lambda_tally(g).to_json_dict()
+    return 1, payload
 
 
 def _cmd_selfcheck(args, budget: Budget) -> tuple[int, dict]:

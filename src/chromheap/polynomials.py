@@ -225,14 +225,6 @@ class BivariatePoly:
     def evaluate(self, q, r):
         return sum(c * q**i * r**j for (i, j), c in self.terms.items())
 
-    def at_r_zero(self) -> Poly:
-        degree = max((i for (i, j) in self.terms if j == 0), default=-1)
-        coeffs = [0] * (degree + 1)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                coeffs[i] = c
-        return Poly(coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, BivariatePoly):
             return self.terms == other.terms

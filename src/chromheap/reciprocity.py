@@ -21,7 +21,7 @@ from .chromatic import (
     chromatic_polynomial,
     enumerate_colorings,
 )
-from .config import DEFAULT_BUDGET, Budget, charge
+from .config import DEFAULT_BUDGET, Budget
 from .errors import (
     BadLabeling,
     Disconnected,
@@ -181,17 +181,15 @@ def check_stanley_reciprocity(
         raise VertexOutOfRange("j must be nonnegative")
     if j > 5:
         raise ResourceBudgetExceeded("direct pair enumeration capped at j <= 5")
-    n = G.n
-    charge("coloring enumeration", j**n if n else 1, budget.enumeration_limit)
     count = 0
-    for classes in enumerate_colorings(G, j, 0):
+    for classes in enumerate_colorings(G, j, 0, budget=budget):
         prod = 1
         for mask in classes:
             if mask:
                 prod *= subgraph_acyclic_count(G, mask)
         count += prod
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(n) * chi.evaluate(-j)
+    poly_side = _sign(G.n) * chi.evaluate(-j)
     return ReciprocityReport(
         identity="stanley",
         params={"j": j},
@@ -245,11 +243,9 @@ def check_shifted_reciprocity(
         raise TooManyEdges("shifted pair count capped at 16 edges")
     if i < 0 or j < 0:
         raise VertexOutOfRange("i and j must be nonnegative")
-    n = G.n
-    charge("coloring enumeration", (j + 1) ** n if n else 1, budget.enumeration_limit)
     count = 0
     with_i: dict[int, int] = {}  # lowest class mask -> orientations with i components
-    for classes in enumerate_colorings(G, j + 1, 0):
+    for classes in enumerate_colorings(G, j + 1, 0, budget=budget):
         low = classes[0]
         prod = with_i.get(low)
         if prod is None:
@@ -259,7 +255,7 @@ def check_shifted_reciprocity(
                 prod *= subgraph_acyclic_count(G, mask)
         count += prod
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(n - i) * chi.shift(-j).coefficient(i)
+    poly_side = _sign(G.n - i) * chi.shift(-j).coefficient(i)
     return ReciprocityReport(
         identity="shifted_chromatic",
         params={"i": i, "j": j},

@@ -41,8 +41,8 @@ from .series import (
 from .symfunc import (
     csf_from_colorings,
     csf_powersum,
-    descent_expansion_sides,
     expand_finite,
+    identity_sides,
     omega,
     orientation_lambda_tally,
     specialize_p_to_q,
@@ -353,7 +353,7 @@ def _two_color_expansion_c4() -> str:
 
 @_check("descent_pair_expansion_c4")
 def _descent_pair_expansion_c4() -> str:
-    lhs, rhs = descent_expansion_sides(_c4(), 1)
+    lhs, rhs = identity_sides(_c4(), "descent_expansion", 1)
     _expect(lhs.terms, {(4,): 14}, "algebraic side")
     _expect(rhs.terms, {(4,): 14}, "orientation side")
     return "both sides 14*z1^4 at one color"
@@ -369,7 +369,3 @@ def run_selfcheck() -> list[CheckResult]:
         except Exception as exc:  # noqa: BLE001 - a failed check is a result
             out.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return out
-
-
-def registered_names() -> list[str]:
-    return [name for name, _ in _REGISTRY]

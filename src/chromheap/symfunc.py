@@ -12,9 +12,9 @@ vertices -Ny..-1, 0, 1..Nz.  Color -i is y_i, and its class must be
 independent.  Color c > 0 is z_c, and its class is weighted by its number
 of acyclic orientations.  Color 0, where the identity has it, marks a block
 weighted by p_lambda of its acyclic orientations in the remaining alphabet
-(y in the split-alphabet identity, w in the three-alphabet one).  _LAYOUTS
-writes this down once per identity; its grouped side and its literal
-reference both read it.
+(y in the split-alphabet identity, w in the three-alphabet one).
+_IDENTITIES writes this down once per identity, with its caps; its
+algebraic side, its grouped side and its literal reference all read it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 from .chromatic import enumerate_colorings
 from .config import DEFAULT_BUDGET, Budget, charge
-from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded
+from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded, VertexOutOfRange
 from .graphs import Graph, blowup, components, graph_cached, induced_subgraph
 from .orientations import (
     Orientation,
@@ -50,10 +50,6 @@ MAX_EXPAND_VARS = 8
 MAX_EXPAND_DEGREE = 8
 MAX_COLORING_VARS = 5
 MAX_COLORING_VERTICES = 8
-MAX_SPLIT_VARS = 3  # per alphabet in the two-alphabet identities
-MAX_SPLIT_VERTICES = 6
-MAX_COMBINED_VARS = 2  # per alphabet in the three-alphabet identity
-MAX_COMBINED_VERTICES = 5
 MAX_MULTICOLOR_WEIGHT = 8
 
 
@@ -358,9 +354,6 @@ class MultiPoly:
             total += term
         return _exact(total)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items())
 
@@ -412,11 +405,11 @@ def expand_finite(X: PPoly, N: int) -> MultiPoly:
     return substitute_power_sums(X, N, lambda k: MultiPoly.power_sum(N, k, 0, N))
 
 
-def _color_count_tally(G: Graph, N: int, sizes: Sequence[int] | None = None) -> MultiPoly:
+def _color_count_tally(G: Graph, N: int, sizes: Sequence[int] | None, budget: Budget) -> MultiPoly:
     """Sum over the proper (multi)colorings of enumerate_colorings with N
     colors of prod_c z_c^(size of class c)."""
     tally: Counter[tuple[int, ...]] = Counter()
-    for classes in enumerate_colorings(G, N, N, sizes):
+    for classes in enumerate_colorings(G, N, N, sizes, budget):
         tally[tuple(m.bit_count() for m in classes)] += 1
     return MultiPoly(N, tally)
 
@@ -429,8 +422,7 @@ def csf_from_colorings(G: Graph, N: int, budget: Budget = DEFAULT_BUDGET) -> Mul
             f"direct coloring expansion capped at {MAX_COLORING_VARS} colors"
             f" and {MAX_COLORING_VERTICES} vertices"
         )
-    charge("enumeration", max(N, 1) ** G.n, budget.enumeration_limit)
-    return _color_count_tally(G, N)
+    return _color_count_tally(G, N, None, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +474,27 @@ def _add_shifted(
             del acc[key]
 
 
-# (nvars, ny, z, nz, zero) of each identity, from its alphabet sizes: colors
+# Each orientation-side identity, its alphabets in the order y, z, w:
+# (layout, report parameter names, variables per alphabet cap, vertex cap).
+# The layout takes the alphabet sizes to (nvars, ny, z, nz, zero): colors
 # -1..-ny count in slots 0..ny-1, colors 1..nz in slots z..z+nz-1, and the
 # color-0 block, if zero is a slot range (lo, hi), is weighted in lo..hi-1.
-_LAYOUTS: dict[str, Callable[..., tuple]] = {
-    "descent_expansion": lambda N: (N, 0, 0, N, None),
-    "split_alphabet": lambda Ny, Nz: (Ny + Nz, 0, Ny, Nz, (0, Ny)),
-    "superfication": lambda Ny, Nz: (Ny + Nz, Ny, Ny, Nz, None),
-    "combined_alphabets": lambda Ny, Nz, Nw: (
-        Ny + Nz + Nw, Ny, Ny, Nz, (Ny + Nz, Ny + Nz + Nw)
+_IDENTITIES: dict[str, tuple[Callable[..., tuple], tuple[str, ...], int, int]] = {
+    "descent_expansion": (lambda N: (N, 0, 0, N, None), ("colors",), 8, 8),
+    "split_alphabet": (
+        lambda Ny, Nz: (Ny + Nz, 0, Ny, Nz, (0, Ny)), ("y_vars", "z_vars"), 3, 6
+    ),
+    "superfication": (
+        lambda Ny, Nz: (Ny + Nz, Ny, Ny, Nz, None), ("y_vars", "z_vars"), 3, 6
+    ),
+    "combined_alphabets": (
+        lambda Ny, Nz, Nw: (Ny + Nz + Nw, Ny, Ny, Nz, (Ny + Nz, Ny + Nz + Nw)),
+        ("y_vars", "z_vars", "w_vars"), 2, 5,
     ),
 }
 
 
-def _grouped_side(G: Graph, identity: str, *sizes: int) -> MultiPoly:
+def _grouped_side(G: Graph, identity: str, *sizes: int, budget: Budget) -> MultiPoly:
     """Orientation side of an identity, summed over colorings.
 
     Descent-freeness forces every arc between distinct color classes, so a
@@ -503,11 +502,11 @@ def _grouped_side(G: Graph, identity: str, *sizes: int) -> MultiPoly:
     classes.  Walk colors: the ny y colors (proper), then color 0 if the
     identity has it, then the nz z colors.
     """
-    nvars, ny, z, nz, zero = _LAYOUTS[identity](*sizes)
+    nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
     first_z = ny + (zero is not None)
     one = MultiPoly.constant(nvars)
     acc: dict[tuple[int, ...], object] = {}
-    for classes in enumerate_colorings(G, first_z + nz, ny):
+    for classes in enumerate_colorings(G, first_z + nz, ny, budget=budget):
         key = [m.bit_count() for m in classes[:ny]] + [0] * (nvars - ny)
         w = 1
         for c in range(nz):
@@ -520,11 +519,11 @@ def _grouped_side(G: Graph, identity: str, *sizes: int) -> MultiPoly:
 
 
 def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
-    """Orientation side of an identity (a key of _LAYOUTS, with the sizes
-    its *_sides function takes) as the literal sum over descent-free
-    (acyclic orientation, coloring) pairs, colors ordered -ny..-1, 0, 1..nz:
-    the reference the grouped route is tested against on small graphs."""
-    nvars, ny, z, nz, zero = _LAYOUTS[identity](*sizes)
+    """Orientation side of an identity (a key of _IDENTITIES, with the sizes
+    identity_sides takes) as the literal sum over descent-free (acyclic
+    orientation, coloring) pairs, colors ordered -ny..-1, 0, 1..nz: the
+    reference the grouped route is tested against on small graphs."""
+    nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
     palette = list(range(-ny, 0)) + [0] * (zero is not None) + list(range(1, nz + 1))
     one = MultiPoly.constant(nvars)
     acc: dict[tuple[int, ...], object] = {}
@@ -552,21 +551,67 @@ def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
     return MultiPoly(nvars, acc)
 
 
-def _sides_report(
-    identity: str, sides: tuple[MultiPoly, MultiPoly], **params: int
+def _alphabet_image(nvars: int, ny: int, k: int) -> MultiPoly:
+    """p_k(slots 0..ny-1) - (-1)^k p_k(slots ny..nvars-1)."""
+    rest = MultiPoly.power_sum(nvars, k, ny, nvars).scale((-1) ** k)
+    return MultiPoly.power_sum(nvars, k, 0, ny) - rest
+
+
+def identity_sides(
+    G: Graph, identity: str, *sizes: int, budget: Budget = DEFAULT_BUDGET
+) -> tuple[MultiPoly, MultiPoly]:
+    """Algebraic and orientation sides of an identity of _IDENTITIES, its
+    alphabets of the given sizes.
+
+    The algebraic side is X_G with p_k -> p_k(y) - (-1)^k p_k(z + w), y
+    being slots 0..ny-1 of the layout: X_G(y - z) for superfication,
+    X_G(y - (z + w)) for the three-alphabet identity, and at ny = 0,
+    omega(X_G) in all the slots (the descent expansion, and the split
+    alphabet's omega(X_G)(y + z)).  The orientation side's coloring walk is
+    charged before X_G is computed.
+    """
+    layout, _, cap, nmax = _IDENTITIES[identity]
+    if any(s < 0 for s in sizes):
+        raise VertexOutOfRange(f"alphabet sizes must be nonnegative, got {list(sizes)}")
+    if any(s > cap for s in sizes) or G.n > nmax:
+        raise ResourceBudgetExceeded(
+            f"alphabets capped at {cap} variables and {nmax} vertices here"
+        )
+    nvars, ny = layout(*sizes)[:2]
+    rhs = _grouped_side(G, identity, *sizes, budget=budget)
+    lhs = substitute_power_sums(
+        csf_powersum(G, budget), nvars, lambda k: _alphabet_image(nvars, ny, k)
+    )
+    return lhs, rhs
+
+
+def sides_report(
+    G: Graph, identity: str, sizes: Sequence[int], lhs: MultiPoly, rhs: MultiPoly
 ) -> IdentityReport:
-    lhs, rhs = sides
+    """Report on the sides of identity_sides: the monomial count of each
+    and, when they differ, the smallest monomial whose coefficients differ."""
+    details = (f"{len(lhs.terms)} monomials algebraic side",
+               f"{len(rhs.terms)} monomials orientation side")
+    equal = lhs == rhs
+    if not equal:
+        e = min(
+            e for e in lhs.terms.keys() | rhs.terms.keys()
+            if lhs.coefficient(e) != rhs.coefficient(e)
+        )
+        details += (
+            f"first difference at exponents {list(e)}:"
+            f" algebraic {lhs.coefficient(e)}, orientation {rhs.coefficient(e)}",
+        )
     return IdentityReport(
         identity=identity,
-        params=params,
-        equal=lhs == rhs,
-        details=(f"{len(lhs.terms)} monomials algebraic side",
-                 f"{len(rhs.terms)} monomials orientation side"),
+        params={"n": G.n, **dict(zip(_IDENTITIES[identity][1], sizes))},
+        equal=equal,
+        details=details,
     )
 
 
 # ---------------------------------------------------------------------------
-# identity checks: orientation tally and descent-free expansion
+# identity checks
 
 
 def orientation_lambda_tally(G: Graph) -> PPoly:
@@ -588,133 +633,39 @@ def verify_orientation_expansion(
     )
 
 
-def descent_expansion_sides(
-    G: Graph, N: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[MultiPoly, MultiPoly]:
-    """omega(X_G) in N variables against the descent-free pair enumeration,
-    grouped by coloring: a coloring f admits exactly prod_c a(G[f^{-1}(c)])
-    compatible acyclic orientations."""
-    lhs = expand_finite(omega(csf_powersum(G, budget)), N)
-    charge("enumeration", max(N, 1) ** G.n, budget.enumeration_limit)
-    return lhs, _grouped_side(G, "descent_expansion", N)
+def _verify(G: Graph, identity: str, *sizes: int, budget: Budget) -> IdentityReport:
+    return sides_report(G, identity, sizes, *identity_sides(G, identity, *sizes, budget=budget))
 
 
 def verify_descent_expansion(
     G: Graph, N: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    return _sides_report(
-        "descent_expansion", descent_expansion_sides(G, N, budget), n=G.n, colors=N
-    )
-
-
-# ---------------------------------------------------------------------------
-# split-alphabet refinement
-
-
-def _check_split_caps(G: Graph, sizes: Sequence[int], cap: int, nmax: int) -> None:
-    if any(s > cap for s in sizes) or G.n > nmax:
-        raise ResourceBudgetExceeded(
-            f"alphabets capped at {cap} variables and {nmax} vertices here"
-        )
-
-
-def split_alphabet_sides(
-    G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[MultiPoly, MultiPoly]:
-    """omega(X_G)(y+z) against the two-level descent-free enumeration.
-
-    Orientation side: colorings f with values in {0, 1..Nz}, descent-free;
-    the color-0 block keeps a free acyclic orientation recorded as
-    p_{lambda} in the y alphabet, while each positive class c contributes
-    a(G[f^{-1}(c)]) and the monomial z_c^{|f^{-1}(c)|}.
-    """
-    _check_split_caps(G, (Ny, Nz), MAX_SPLIT_VARS, MAX_SPLIT_VERTICES)
-    nv = Ny + Nz
-    lhs = substitute_power_sums(
-        omega(csf_powersum(G, budget)),
-        nv,
-        lambda k: MultiPoly.power_sum(nv, k, 0, nv),
-    )
-    charge("enumeration", (Nz + 1) ** G.n, budget.enumeration_limit)
-    return lhs, _grouped_side(G, "split_alphabet", Ny, Nz)
+    """omega(X_G) in N variables against the descent-free pair enumeration."""
+    return _verify(G, "descent_expansion", N, budget=budget)
 
 
 def verify_split_alphabet(
     G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    return _sides_report(
-        "split_alphabet", split_alphabet_sides(G, Ny, Nz, budget),
-        n=G.n, y_vars=Ny, z_vars=Nz,
-    )
-
-
-# ---------------------------------------------------------------------------
-# signed-alphabet (super) refinements
-
-
-def superfication_sides(
-    G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[MultiPoly, MultiPoly]:
-    """X_G(y-z) against the signed coloring enumeration.
-
-    Algebraic side substitutes p_k -> p_k(y) - (-1)^k p_k(z).  Orientation
-    side: descent-free colorings with values in {-Ny..-1} u {1..Nz} where
-    every negative class is independent; color -i maps to y_i, color i to
-    z_i, and each positive class keeps a free acyclic orientation.
-    """
-    _check_split_caps(G, (Ny, Nz), MAX_SPLIT_VARS, MAX_SPLIT_VERTICES)
-    nv = Ny + Nz
-
-    def image(k: int) -> MultiPoly:
-        y = MultiPoly.power_sum(nv, k, 0, Ny)
-        z = MultiPoly.power_sum(nv, k, Ny, nv)
-        return y + z.scale(-((-1) ** k))
-
-    lhs = substitute_power_sums(csf_powersum(G, budget), nv, image)
-    charge("enumeration", max(Ny + Nz, 1) ** G.n, budget.enumeration_limit)
-    return lhs, _grouped_side(G, "superfication", Ny, Nz)
+    """omega(X_G)(y + z) against descent-free colorings into {0, 1..Nz}
+    whose color-0 block keeps p_lambda of a free acyclic orientation in y."""
+    return _verify(G, "split_alphabet", Ny, Nz, budget=budget)
 
 
 def verify_superfication(
     G: Graph, Ny: int, Nz: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    return _sides_report(
-        "superfication", superfication_sides(G, Ny, Nz, budget),
-        n=G.n, y_vars=Ny, z_vars=Nz,
-    )
-
-
-def combined_sides(
-    G: Graph, Ny: int, Nz: int, Nw: int, budget: Budget = DEFAULT_BUDGET
-) -> tuple[MultiPoly, MultiPoly]:
-    """X_G(y-(z+w)) against the full signed enumeration with a zero block.
-
-    Algebraic side substitutes p_k -> p_k(y) - (-1)^k (p_k(z) + p_k(w)).
-    Orientation side: descent-free colorings with values in {-Ny..Nz},
-    negative classes independent (mapped to y), the color-0 block weighted
-    p_{lambda} in the w alphabet, positive classes free acyclic (mapped to
-    z).  Variable slots: y first, then z, then w.
-    """
-    _check_split_caps(G, (Ny, Nz, Nw), MAX_COMBINED_VARS, MAX_COMBINED_VERTICES)
-    nv = Ny + Nz + Nw
-
-    def image(k: int) -> MultiPoly:
-        y = MultiPoly.power_sum(nv, k, 0, Ny)
-        zw = MultiPoly.power_sum(nv, k, Ny, nv)
-        return y + zw.scale(-((-1) ** k))
-
-    lhs = substitute_power_sums(csf_powersum(G, budget), nv, image)
-    charge("enumeration", (Ny + Nz + 1) ** G.n, budget.enumeration_limit)
-    return lhs, _grouped_side(G, "combined_alphabets", Ny, Nz, Nw)
+    """X_G(y - z) against descent-free colorings into {-Ny..-1, 1..Nz} whose
+    negative classes are independent."""
+    return _verify(G, "superfication", Ny, Nz, budget=budget)
 
 
 def verify_combined(
     G: Graph, Ny: int, Nz: int, Nw: int, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    return _sides_report(
-        "combined_alphabets", combined_sides(G, Ny, Nz, Nw, budget),
-        n=G.n, y_vars=Ny, z_vars=Nz, w_vars=Nw,
-    )
+    """X_G(y - (z + w)) against descent-free colorings into {-Ny..Nz}, the
+    color-0 block weighted by p_lambda in w."""
+    return _verify(G, "combined_alphabets", Ny, Nz, Nw, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -748,5 +699,4 @@ def multicolor_csf_from_colorings(
         raise ResourceBudgetExceeded("direct multicoloring capped at 3 colors")
     if len(m) != G.n:
         raise InternalInvariantViolation("type vector length mismatch")
-    charge("enumeration", (2**N) ** G.n, budget.enumeration_limit)
-    return _color_count_tally(G, N, m)
+    return _color_count_tally(G, N, m, budget)

@@ -16,6 +16,7 @@ from chromheap.config import Budget
 from chromheap.errors import ResourceBudgetExceeded
 from chromheap.families import cycle_graph
 from chromheap.reports import ReciprocityReport
+from chromheap.symfunc import MultiPoly
 
 
 @pytest.fixture
@@ -180,6 +181,7 @@ def test_usage_errors_exit_2(capsys, c4_file, tmp_path):
     assert run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "nonsense")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "reciprocity", "--check", "nosuch", "--graph", c4_file)[0] == 2
+    assert run_cli(capsys, "symfunc", "--check", "thm53", "--ny", "-1", "--graph", c4_file)[0] == 2
 
 
 def test_resource_error_exits_2(capsys, c4_file, tmp_path):
@@ -227,6 +229,31 @@ def test_mismatch_exits_1(capsys, c4_file, monkeypatch):
     payload = json.loads(out)
     # both sides present in the report
     assert payload["count"] == "30" and payload["poly_side"] == "31"
+    assert "mismatch" in err
+
+
+def test_symfunc_mismatch_names_the_first_difference(capsys, c4_file, monkeypatch):
+    # the orientation side gains a constant 5 that the degree-4 algebraic
+    # side lacks; each side is computed once and printed as computed
+    real = cli.identity_sides
+    calls = []
+
+    def skewed(g, identity, *sizes, budget):
+        calls.append(identity)
+        lhs, rhs = real(g, identity, *sizes, budget=budget)
+        return lhs, rhs + MultiPoly.constant(rhs.nvars, 5)
+
+    monkeypatch.setattr(cli, "identity_sides", skewed)
+    code, out, err = run_cli(
+        capsys, "symfunc", "--graph", c4_file, "--check", "thm53", "--ny", "1", "--nz", "1"
+    )
+    assert code == 1 and calls == ["split_alphabet"]
+    payload = json.loads(out)
+    lhs, rhs = real(cycle_graph(4), "split_alphabet", 1, 1)
+    assert payload["equal"] is False
+    assert payload["lhs"] == lhs.to_json_list()
+    assert payload["rhs"] == [{"exponents": [0, 0], "num": "5", "den": "1"}, *rhs.to_json_list()]
+    assert payload["details"][2] == "first difference at exponents [0, 0]: algebraic 0, orientation 5"
     assert "mismatch" in err
 
 

@@ -105,3 +105,36 @@ def test_chi_routes_share_no_code():
     assert "_chrom_delcon" in delcon_route
     assert delcon_route.isdisjoint(kernel | {"_ranked_table", reduction})
     assert "power" in reached({"count_independent_tuples"})
+
+
+def test_identity_sides_share_no_code():
+    # An alphabet identity's algebraic side (X_G, then the substitution
+    # p_k -> its alphabet image) and its grouped orientation side share no
+    # symfunc code but the identity table and the MultiPoly container.
+    tree = ast.parse((PACKAGE / "symfunc.py").read_text())
+    defined: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id: node for t in targets if isinstance(t, ast.Name)}
+
+    def reached(roots: set[str]) -> set[str]:
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name in defined and name not in seen:
+                seen.add(name)
+                # a class is a container: its methods are not followed
+                if not isinstance(defined[name], ast.ClassDef):
+                    todo += _names_used(defined[name])
+        return seen
+
+    algebraic = reached({"csf_powersum", "substitute_power_sums", "_alphabet_image"})
+    grouped = reached({"_grouped_side"})
+    assert {"_connected_csf", "PPoly", "MultiPoly"} <= algebraic
+    assert {"_IDENTITIES", "_lambda_weight", "_add_shifted"} <= grouped
+    assert algebraic & grouped <= {"_IDENTITIES", "MultiPoly"}
+    # identity_sides joins the two routes and is reached by neither
+    assert "identity_sides" not in algebraic | grouped

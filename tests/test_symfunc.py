@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromheap import symfunc
 from chromheap.chromatic import chromatic_polynomial
 from chromheap.config import DEFAULT_BUDGET
 from chromheap.errors import (
     InternalInvariantViolation,
     NonIntegerResult,
     ResourceBudgetExceeded,
+    VertexOutOfRange,
 )
 from chromheap.families import complete_graph, path_graph, star_graph
 from chromheap.graphs import blowup, from_edge_list
@@ -28,11 +30,10 @@ from chromheap.orientations import acyclic_orientation_list
 from chromheap.symfunc import (
     MultiPoly,
     PPoly,
-    combined_sides,
     csf_from_colorings,
     csf_powersum,
-    descent_expansion_sides,
     expand_finite,
+    identity_sides,
     multicolor_csf,
     multicolor_csf_from_colorings,
     omega,
@@ -40,9 +41,7 @@ from chromheap.symfunc import (
     orientation_side_naive,
     specialize_p_to_q,
     specialize_p_to_value,
-    split_alphabet_sides,
     substitute_power_sums,
-    superfication_sides,
     verify_combined,
     verify_descent_expansion,
     verify_orientation_expansion,
@@ -211,12 +210,12 @@ def test_orientation_expansion_property(g):
 
 
 def test_descent_expansion_c4_one_color(c4):
-    lhs, rhs = descent_expansion_sides(c4, 1)
+    lhs, rhs = identity_sides(c4, "descent_expansion", 1)
     assert lhs.terms == rhs.terms == {(4,): 14}
 
 
 def test_descent_expansion_single_vertex(k1):
-    lhs, rhs = descent_expansion_sides(k1, 3)
+    lhs, rhs = identity_sides(k1, "descent_expansion", 3)
     want = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
     assert lhs.terms == rhs.terms == want
 
@@ -226,7 +225,7 @@ def test_descent_expansion_single_vertex(k1):
 def test_descent_expansion_matches_naive(g, n_colors):
     report = verify_descent_expansion(g, n_colors)
     assert report.equal
-    lhs, rhs = descent_expansion_sides(g, n_colors)
+    lhs, rhs = identity_sides(g, "descent_expansion", n_colors)
     assert rhs == orientation_side_naive(g, "descent_expansion", n_colors)
 
 
@@ -235,21 +234,65 @@ def test_descent_expansion_matches_naive(g, n_colors):
 def test_split_alphabet_matches_naive(g, ny, nz):
     report = verify_split_alphabet(g, ny, nz)
     assert report.equal
-    _, rhs = split_alphabet_sides(g, ny, nz)
+    _, rhs = identity_sides(g, "split_alphabet", ny, nz)
     assert rhs == orientation_side_naive(g, "split_alphabet", ny, nz)
+
+
+@given(graphs(max_n=5), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+@settings(max_examples=25, deadline=None)
+def test_ny_zero_image_is_omega_then_expansion(g, ny, nz):
+    # with no y alphabet in the layout, the algebraic side is omega(X_G)
+    # expanded in all of its slots
+    x = omega(csf_powersum(g))
+    lhs, _ = identity_sides(g, "descent_expansion", nz)
+    assert lhs == expand_finite(x, nz)
+    lhs, _ = identity_sides(g, "split_alphabet", ny, nz)
+    assert lhs == expand_finite(x, ny + nz)
+
+
+def test_coloring_charge_refuses_before_x_g(c4, monkeypatch):
+    # three colors on C4 walk exactly 3^4 = 81 colorings, and X_G takes
+    # (3^4 - 1)/2 = 40 steps, so only the coloring charge refuses 80
+    def budget(limit):
+        return DEFAULT_BUDGET.with_overrides(enumeration_limit=limit)
+
+    assert identity_sides(c4, "descent_expansion", 3, budget=budget(81))
+    calls = []
+    monkeypatch.setattr(symfunc, "csf_powersum", lambda *args: calls.append(args))
+    with pytest.raises(ResourceBudgetExceeded, match="coloring enumeration needs 81 > budget 80"):
+        identity_sides(c4, "descent_expansion", 3, budget=budget(80))
+    assert calls == []
+
+
+def test_identity_caps_refuse_past_the_table(c4):
+    for identity, sizes in (
+        ("descent_expansion", (9,)), ("split_alphabet", (4, 1)),
+        ("superfication", (1, 4)), ("combined_alphabets", (1, 3, 1)),
+    ):
+        with pytest.raises(ResourceBudgetExceeded, match="alphabets capped"):
+            identity_sides(c4, identity, *sizes)
+    with pytest.raises(ResourceBudgetExceeded, match="5 vertices"):
+        identity_sides(path_graph(6), "combined_alphabets", 1, 1, 1)
+    # a negative alphabet is refused, not indexed past its slots
+    for identity, sizes in (
+        ("descent_expansion", (-1,)), ("split_alphabet", (1, -1)),
+        ("superfication", (-1, 1)), ("combined_alphabets", (-1, 1, 1)),
+    ):
+        with pytest.raises(VertexOutOfRange, match="nonnegative"):
+            identity_sides(c4, identity, *sizes)
 
 
 def test_split_alphabet_degenerate_reductions(c4):
     # no z-colors: only the empty coloring survives, leaving the
     # orientation tally expanded in y
-    lhs, rhs = split_alphabet_sides(c4, 2, 0)
+    lhs, rhs = identity_sides(c4, "split_alphabet", 2, 0)
     tally = substitute_power_sums(
         orientation_lambda_tally(c4), 2, lambda k: MultiPoly.power_sum(2, k, 0, 2)
     )
     assert lhs == rhs == tally
     # no y-colors: class 0 must be empty, leaving the descent expansion
-    lhs, rhs = split_alphabet_sides(c4, 0, 2)
-    dl, dr = descent_expansion_sides(c4, 2)
+    lhs, rhs = identity_sides(c4, "split_alphabet", 0, 2)
+    dl, dr = identity_sides(c4, "descent_expansion", 2)
     assert rhs.terms == dr.terms
     assert lhs.terms == dl.terms
 
@@ -259,17 +302,17 @@ def test_split_alphabet_degenerate_reductions(c4):
 def test_superfication_matches_naive(g, ny, nz):
     report = verify_superfication(g, ny, nz)
     assert report.equal
-    _, rhs = superfication_sides(g, ny, nz)
+    _, rhs = identity_sides(g, "superfication", ny, nz)
     assert rhs == orientation_side_naive(g, "superfication", ny, nz)
 
 
 def test_superfication_degenerate_reductions(c4):
     # no positive colors: signed colorings become proper colorings
-    lhs, rhs = superfication_sides(c4, 2, 0)
+    lhs, rhs = identity_sides(c4, "superfication", 2, 0)
     assert lhs == rhs == expand_finite(csf_powersum(c4), 2)
     # no negative colors: the sign flip is exactly omega
-    lhs, rhs = superfication_sides(c4, 0, 2)
-    dl, dr = descent_expansion_sides(c4, 2)
+    lhs, rhs = identity_sides(c4, "superfication", 0, 2)
+    dl, dr = identity_sides(c4, "descent_expansion", 2)
     assert lhs.terms == dl.terms
     assert rhs.terms == dr.terms
 
@@ -283,19 +326,19 @@ def _permute_exponents(poly: MultiPoly, perm: list[int]) -> dict:
 def test_combined_matches_naive(g):
     report = verify_combined(g, 1, 1, 1)
     assert report.equal
-    _, rhs = combined_sides(g, 1, 1, 1)
+    _, rhs = identity_sides(g, "combined_alphabets", 1, 1, 1)
     assert rhs == orientation_side_naive(g, "combined_alphabets", 1, 1, 1)
 
 
 def test_combined_degenerate_reductions(c4):
     # w empty: the three-alphabet identity is the signed-coloring one
-    lc, rc = combined_sides(c4, 1, 2, 0)
-    ls, rs = superfication_sides(c4, 1, 2)
+    lc, rc = identity_sides(c4, "combined_alphabets", 1, 2, 0)
+    ls, rs = identity_sides(c4, "superfication", 1, 2)
     assert lc.terms == ls.terms and rc.terms == rs.terms
     # y empty: it is the split-alphabet identity with slots [z | w],
-    # while split_alphabet_sides uses [y(=w) | z]
-    lc, rc = combined_sides(c4, 0, 2, 1)
-    lt, rt = split_alphabet_sides(c4, 1, 2)
+    # while split_alphabet uses [y(=w) | z]
+    lc, rc = identity_sides(c4, "combined_alphabets", 0, 2, 1)
+    lt, rt = identity_sides(c4, "split_alphabet", 1, 2)
     perm = [2, 0, 1]  # combined slot order (z1,z2,w) read as (y,z1,z2)
     assert _permute_exponents(lc, perm) == lt.terms
     assert _permute_exponents(rc, perm) == rt.terms
@@ -304,8 +347,8 @@ def test_combined_degenerate_reductions(c4):
 @given(graphs(max_n=5))
 @settings(max_examples=12, deadline=None)
 def test_combined_degenerates_propertywise(g):
-    lc, rc = combined_sides(g, 1, 1, 0)
-    ls, rs = superfication_sides(g, 1, 1)
+    lc, rc = identity_sides(g, "combined_alphabets", 1, 1, 0)
+    ls, rs = identity_sides(g, "superfication", 1, 1)
     assert lc.terms == ls.terms and rc.terms == rs.terms
 
 
@@ -324,6 +367,18 @@ def test_multicolor_csf_matches_blowup(c4):
         x = multicolor_csf(c4, m)
         blown = csf_powersum(blowup(c4, m))
         assert x.scale(_mfact(m)) == blown
+
+
+def test_multicoloring_charge_is_exact():
+    # eight isolated vertices with one color each out of three: the walk is
+    # charged its 3^8 = 6561 leaves, within the default budget
+    g = from_edge_list(8, [])
+    direct = multicolor_csf_from_colorings(g, (1,) * 8, 3)
+    assert direct == expand_finite(csf_powersum(g), 3)
+    assert sum(direct.terms.values()) == 3**8
+    budget = DEFAULT_BUDGET.with_overrides(enumeration_limit=3**8 - 1)
+    with pytest.raises(ResourceBudgetExceeded, match="coloring enumeration needs 6561"):
+        multicolor_csf_from_colorings(g, (1,) * 8, 3, budget)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3), st.integers(min_value=1, max_value=3))
