@@ -12,13 +12,17 @@ so series in one commuting variable per vertex count heaps by type:
   the coefficient of x^m in P is (pyramids of type m) / |m|;
 * H_S = T_{S-bar}(-x) / T(-x), counting heaps whose minimal pieces all have type in S.
 
-Layout.  Arithmetic runs on the D + 1 homogeneous slices of a series cut
-at total degree D.  A monomial is one int with each exponent in a field of
+Layout.  A series cut at total degree D is stored as its D + 1 homogeneous
+slices.  A monomial is one int with each exponent in a field of
 max(1, D.bit_length()) bits, so a monomial product is one integer add that
 never carries, and the slice product sum_k A_k B_{d-k} (`_degree`) never
 forms a term above D.  Multiplication, inverse, log and exp are recurrences
-over it, each charging its running count of coefficient pairs against
-Budget.enumeration_limit.  `terms`, keyed by exponent tuples, is the view.
+over it, and their results are stored as they come out; `terms`, keyed by
+exponent tuples, is a view built on first use.  Each product or recurrence
+charges its coefficient pairs against Budget.enumeration_limit: as it runs
+in general, and up front where the count is known before the first degree
+(`_full_support_pairs`: the inversion of heap_series_triple and the exp
+step of check_heap_identities, both of which meet every monomial of H).
 
 Heap routes, both in integers, from F = T(-x) built from the independent
 sets.  Inversion: H_d = -sum_{k>=1} F_k H_{d-k}.  Log, then exp: with theta
@@ -26,7 +30,8 @@ the Euler operator (x^m -> |m| x^m), thetaL_d = d F_d - sum_{1<=k<d} F_k
 thetaL_{d-k} gives L = log F and P = -L, whose P_m = -thetaL_m / |m| is the
 only division into Fraction; exp rebuilds H' from d H'_d = sum_{k>=1}
 (theta P)_k H'_{d-k} by exact division, and check_heap_identities compares
-H' with H.  The two routes share the slice product and nothing else.
+H' with H.  The two routes share the slice product and, for their
+up-front charges, the pair count of a recurrence onto H.
 """
 from __future__ import annotations
 
@@ -62,14 +67,31 @@ def _div(c, d: int):
 
 
 class _Work:
-    """Coefficient pairs one product or recurrence has multiplied so far."""
+    """Coefficient pairs one product or recurrence has multiplied so far,
+    charged as they run; or, when the total is known before the first
+    degree, that total charged once (prepaid) and nothing after it."""
 
-    def __init__(self, budget: Budget):
+    def __init__(self, budget: Budget, prepaid: int | None = None):
         self.pairs, self.limit = 0, budget.enumeration_limit
+        if prepaid is not None:
+            charge("series coefficient pairs", prepaid, self.limit)
+            self.limit = None
 
     def add(self, pairs: int) -> None:
         self.pairs += pairs
-        charge("series coefficient pairs", self.pairs, self.limit)
+        if self.limit is not None:
+            charge("series coefficient pairs", self.pairs, self.limit)
+
+
+def _full_support_pairs(a: Slices, n: int) -> int:
+    """Coefficient pairs of a recurrence whose degree d <= D = len(a) - 1
+    takes sum_{k>=1} a_k e_{d-k}, when every e_j has all C(j+n-1, n-1)
+    monomials of degree j in n variables.  H has: every multiset of pieces
+    is the content of a heap.  By the hockey-stick identity a_k meets
+    sum_{j<=D-k} |e_j| = C(D-k+n, n) terms, so the count is exact when e is
+    H and an upper bound for any e."""
+    bound = len(a) - 1
+    return sum(len(x) * math.comb(bound - k + n, n) for k, x in enumerate(a) if k)
 
 
 def _degree(a: list, b: Slices, d: int, work: _Work) -> dict:
@@ -110,10 +132,10 @@ def _inverse(f: Slices, work: _Work) -> Slices:
     """1 / f for f_0 = 1: h_d = -sum_{k>=1} f_k h_{d-k}."""
     if f[:1] != [{0: 1}]:
         raise InternalInvariantViolation("reciprocal needs constant term 1")
-    f_items = _nonempty(f)
+    minus_f = [(k, {m: -c for m, c in x.items()}) for k, x in _nonempty(f) if k]
     h: Slices = [{0: 1}] + [{} for _ in f[1:]]
     for d in range(1, len(f)):
-        h[d] = {k: -c for k, c in _degree(f_items, h, d, work).items()}
+        h[d] = _degree(minus_f, h, d, work)
     return h
 
 
@@ -152,36 +174,53 @@ def _divide_theta(t: Slices, sign: int = 1) -> Slices:
 
 
 class TruncatedSeries:
-    """Sparse series in nvars variables, truncated above a total degree bound."""
+    """Sparse series in nvars variables, truncated above a total degree bound.
 
-    __slots__ = ("nvars", "bound", "terms")
+    Stored form: the bound + 1 homogeneous slices, slice d mapping the packed
+    monomials of total degree d (see Layout) to nonzero coefficients.
+    `terms`, keyed by exponent tuples, is a read-only view built on first use.
+    """
+
+    __slots__ = ("nvars", "bound", "_slices", "_view")
 
     def __init__(self, nvars: int, bound: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        self.nvars, self.bound = nvars, bound
-        self.terms = {
-            tuple(exps): c for exps, c in (terms or {}).items() if c != 0 and sum(exps) <= bound
-        }
+        width = _width(bound)
+        slices: Slices = [{} for _ in range(bound + 1)]
+        for exps, c in (terms or {}).items():
+            key = tuple(exps)
+            if len(key) != nvars or any(e < 0 for e in key):
+                raise InternalInvariantViolation(f"bad exponent tuple {key} for {nvars} variables")
+            if c != 0 and sum(key) <= bound:
+                slices[sum(key)][sum(e << width * i for i, e in enumerate(key))] = c
+        self.nvars, self.bound, self._slices, self._view = nvars, bound, slices, None
 
     @classmethod
     def constant(cls, nvars: int, bound: int, c=1) -> "TruncatedSeries":
         return cls(nvars, bound, {(0,) * nvars: c})
 
-    def _slices(self) -> Slices:
-        shifts = [_width(self.bound) * i for i in range(self.nvars)]
-        out: Slices = [{} for _ in range(self.bound + 1)]
-        for exps, c in self.terms.items():
-            out[sum(exps)][sum(e << s for e, s in zip(exps, shifts))] = c
-        return out
+    @property
+    def terms(self) -> dict[tuple[int, ...], object]:
+        """Exponent tuple -> coefficient, the read-only view of the slices."""
+        if self._view is None:
+            width = _width(self.bound)
+            digit = (1 << width) - 1
+            shifts = range(0, width * self.nvars, width)
+            self._view = {
+                tuple(k >> s & digit for s in shifts): c for x in self._slices for k, c in x.items()
+            }
+        return self._view
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), 0)
 
     def coefficient_of_set(self, mask: int):
         """Coefficient of the squarefree monomial given by a vertex mask."""
-        return self.coefficient([mask >> i & 1 for i in range(self.nvars)])
+        mask &= (1 << self.nvars) - 1
+        d = mask.bit_count()
+        return self._slices[d].get(_spread(mask, _width(self.bound)), 0) if d <= self.bound else 0
 
     def constant_term(self):
-        return self.coefficient((0,) * self.nvars)
+        return self._slices[0].get(0, 0) if self._slices else 0
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.nvars != other.nvars or self.bound != other.bound:
@@ -192,16 +231,19 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(self.nvars, self.bound, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.nvars, self.bound, self.terms) == (other.nvars, other.bound, other.terms)
+        return (self.nvars, self.bound, self._slices) == (other.nvars, other.bound, other._slices)
 
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.nvars, self.bound, other)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TruncatedSeries(self.nvars, self.bound, out)
+        slices = []
+        for x, y in zip(self._slices, other._slices):
+            out = dict(x)
+            for k, c in y.items():
+                out[k] = out.get(k, 0) + c
+            slices.append({k: c for k, c in out.items() if c})
+        return _series(self.nvars, self.bound, slices)
 
     __radd__ = __add__
 
@@ -218,47 +260,51 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return self.map_coefficients(lambda c: c * other)
         self._check_compatible(other)
-        product = _product(self._slices(), other._slices(), _Work(DEFAULT_BUDGET))
+        product = _product(self._slices, other._slices, _Work(DEFAULT_BUDGET))
         return _series(self.nvars, self.bound, product)
 
     __rmul__ = __mul__
 
     def substitute_neg(self) -> "TruncatedSeries":
         """The series with every variable negated: x^m picks up (-1)^|m|."""
-        return TruncatedSeries(
-            self.nvars, self.bound, {k: (-c if sum(k) & 1 else c) for k, c in self.terms.items()}
-        )
+        slices = [{k: -c for k, c in x.items()} if d & 1 else x for d, x in enumerate(self._slices)]
+        return _series(self.nvars, self.bound, slices)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be exactly 1."""
-        return _series(self.nvars, self.bound, _inverse(self._slices(), _Work(DEFAULT_BUDGET)))
+        return _series(self.nvars, self.bound, _inverse(self._slices, _Work(DEFAULT_BUDGET)))
 
     def log(self) -> "TruncatedSeries":
         """Natural log; the constant term must be exactly 1."""
-        theta_l = _theta_log(self._slices(), _Work(DEFAULT_BUDGET))
+        theta_l = _theta_log(self._slices, _Work(DEFAULT_BUDGET))
         return _series(self.nvars, self.bound, _divide_theta(theta_l))
 
     def exp(self) -> "TruncatedSeries":
         """Exponential; the constant term must be exactly 0."""
         if self.constant_term() != 0:
             raise InternalInvariantViolation("exp needs constant term 0")
-        e = _exp_of_theta(_theta(self._slices()), _Work(DEFAULT_BUDGET))
+        e = _exp_of_theta(_theta(self._slices), _Work(DEFAULT_BUDGET))
         return _series(self.nvars, self.bound, e)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.bound, {k: fn(c) for k, c in self.terms.items()})
+        slices = [{k: v for k, c in x.items() if (v := fn(c)) != 0} for x in self._slices]
+        return _series(self.nvars, self.bound, slices)
+
+    def _by_degree(self) -> list[tuple[int, ...]]:
+        """The exponent tuples of the view, by degree and then lexicographically."""
+        return sorted(self.terms, key=lambda k: (sum(k), k))
 
     def to_json_list(self) -> list[dict]:
         out = []
-        for _, k in sorted((sum(k), k) for k in self.terms):
+        for k in self._by_degree():
             c = Fraction(self.terms[k])
             out.append({"exponents": list(k), "num": str(c.numerator), "den": str(c.denominator)})
         return out
 
     def __repr__(self) -> str:
-        items = sorted((sum(k), k) for k in self.terms)
+        items = self._by_degree()
         bits = []
-        for _, k in items[:12]:
+        for k in items[:12]:
             mono = "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(k) if e)
             bits.append(f"{self.terms[k]}{'*' + mono if mono else ''}")
         tail = " + ..." if len(items) > 12 else ""
@@ -282,12 +328,11 @@ def _trivial_slices(G: Graph, bound: int, sign: int = 1, avoid: int = 0) -> Slic
 
 
 def _series(nvars: int, bound: int, slices: Slices) -> TruncatedSeries:
-    """The tuple-keyed series of packed slices."""
-    width = _width(bound)
-    digit = (1 << width) - 1
-    shifts = [width * i for i in range(nvars)]
-    terms = {tuple(k >> s & digit for s in shifts): c for x in slices for k, c in x.items()}
-    return TruncatedSeries(nvars, bound, terms)
+    """The series whose stored slices are these (bound + 1 of them, no zero
+    coefficient); they are wrapped, not copied."""
+    series = TruncatedSeries.__new__(TruncatedSeries)
+    series.nvars, series.bound, series._slices, series._view = nvars, bound, slices, None
+    return series
 
 
 def trivial_series(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> TruncatedSeries:
@@ -320,8 +365,8 @@ def restricted_heap_series(
     G: Graph, S: int | Iterable[int], bound: int, budget: Budget = DEFAULT_BUDGET
 ) -> TruncatedSeries:
     """H_S = T_{S-bar}(-x) / T(-x): heaps whose minimal pieces all have type in S."""
-    numerator = restricted_trivial_series(G, S, bound, budget).substitute_neg()._slices()
-    h = heap_series(G, bound, budget)._slices()
+    numerator = restricted_trivial_series(G, S, bound, budget).substitute_neg()._slices
+    h = heap_series(G, bound, budget)._slices
     return _series(G.n, bound, _product(numerator, h, _Work(budget)))
 
 
@@ -374,7 +419,7 @@ def heap_series_triple(
     """(T, H, P): H = 1 / F by inversion and P = -log F by theta log, from one F = T(-x)."""
     _guard_series_size(G.n, bound, budget)
     f = _trivial_slices(G, bound, -1)
-    h = _inverse(f, _Work(budget))
+    h = _inverse(f, _Work(budget, prepaid=_full_support_pairs(f, G.n)))
     p = _divide_theta(_theta_log(f, _Work(budget)), -1)
     return tuple(_series(G.n, bound, s) for s in (_trivial_slices(G, bound), h, p))
 
@@ -397,13 +442,15 @@ def check_heap_identities(
     part of H_S = T_{S-bar}(-x) H is one subset convolution per S.
     """
     bound = trivial.bound
-    f = trivial.substitute_neg()._slices()
-    h = H._slices()
+    f = trivial.substitute_neg()._slices
+    h, p = H._slices, P._slices
+    # theta drops the constant term, and exp(P) = H needs P_0 = 0; theta P
+    # has the support of P, so the exp route is charged before any work
+    exp_work = _Work(budget, prepaid=_full_support_pairs(p, P.nvars)) if P.constant_term() == 0 else None
     failures = []
     if _product(h, f, _Work(budget)) != [{0: 1}] + [{} for _ in range(bound)]:
         failures.append("H * T(-x) != 1")
-    # theta drops the constant term, and exp(P) = H needs P_0 = 0
-    if P.constant_term() != 0 or _exp_of_theta(_theta(P._slices()), _Work(budget)) != h:
+    if exp_work is None or _exp_of_theta(_theta(p), exp_work) != h:
         failures.append("exp(P) != H")
     if G.n <= 5:
         vsets = [V for V in range(1 << G.n) if V.bit_count() <= bound]

@@ -2,9 +2,13 @@
 
 X_G is stored as a map from integer partitions to exact coefficients; the
 omega involution and the q-specialization act on that map directly, so the
-e/h bases never materialize.  Finite-alphabet expansions produce
-exponent-map polynomials, which lets every identity compare its algebraic
-side against an orientation-side enumeration in exact arithmetic.
+e/h bases never materialize.  Finite-alphabet expansions produce MultiPoly
+polynomials, which lets every identity compare its algebraic side against
+an orientation-side enumeration in exact arithmetic.  A MultiPoly stores
+each monomial as one packed int (MultiPoly.WIDTH bits per exponent slot)
+and refuses a result of total degree above MultiPoly.MAX_DEGREE, so no
+exponent carries; exponent tuples are a read-only view for output and
+tests, and every listing sorts them lexicographically.
 
 Slot layout, one for every orientation-side identity: its alphabets take
 contiguous slot ranges in the order y, z, w.  The orientation side colors
@@ -244,31 +248,66 @@ def specialize_p_to_value(X: PPoly, t):
 
 
 class MultiPoly:
-    """Polynomial in a fixed tuple of alphabet variables, exponent-map form.
+    """Polynomial in a fixed tuple of alphabet variables.
 
-    ``terms`` maps an exponent tuple (one slot per variable) to a nonzero
-    exact coefficient.  Variable slots are 0-based; identity checks lay out
-    their alphabets as contiguous slot ranges.
+    Stored form: a map from packed monomials to nonzero exact coefficients.
+    A packed monomial is one int whose slot i, bits WIDTH*i up to
+    WIDTH*(i + 1) - 1, holds the exponent of variable i (0-based), so a
+    product of monomials is one integer add.  Every term's total degree is
+    at most the stored bound ``_top``, and no exponent exceeds its term's
+    total degree, so keeping ``_top`` <= MAX_DEGREE keeps every exponent in
+    its slot: a product whose bound would pass MAX_DEGREE raises
+    InternalInvariantViolation instead of carrying into the next slot.
+
+    View: ``terms`` maps exponent tuples (one slot per variable) to the
+    coefficients.  It is built on first use, for output and tests, and is
+    read-only.  Packed ints do not sort like exponent tuples, so every
+    ordering (sorted_terms, to_json_list) sorts the view.  Identity checks
+    lay out their alphabets as contiguous slot ranges.
     """
 
-    __slots__ = ("nvars", "terms")
+    WIDTH = 8
+    MAX_DEGREE = (1 << WIDTH) - 1
+
+    __slots__ = ("nvars", "_top", "_packed", "_view")
 
     def __init__(
         self, nvars: int, terms: Mapping[tuple[int, ...], object] | None = None
     ):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], object] = {}
+        packed: dict[int, object] = {}
+        top = 0
         for exps, c in (terms or {}).items():
             c = _exact(c)
             if c == 0:
                 continue
             key = tuple(exps)
-            if len(key) != nvars or any(e < 0 for e in key):
+            if len(key) != nvars or any(e < 0 for e in key) or sum(key) > self.MAX_DEGREE:
                 raise InternalInvariantViolation(
                     f"bad exponent tuple {key} for {nvars} variables"
                 )
-            clean[key] = c
-        self.terms = clean
+            packed[self.pack(key)] = c
+            top = max(top, sum(key))
+        self.nvars, self._top, self._packed, self._view = nvars, top, packed, None
+
+    @classmethod
+    def _of(cls, nvars: int, packed: dict[int, object], top: int) -> "MultiPoly":
+        """Wrap a packed map, no coefficient zero and no total degree above
+        top, without re-checking its keys."""
+        if top > cls.MAX_DEGREE:
+            raise InternalInvariantViolation(
+                f"total degree {top} overflows the {cls.WIDTH}-bit exponent slots"
+            )
+        poly = cls.__new__(cls)
+        poly.nvars, poly._top, poly._packed, poly._view = nvars, top, packed, None
+        return poly
+
+    @classmethod
+    def pack(cls, exps: Sequence[int], lo: int = 0) -> int:
+        """The packed monomial with exponents exps in slots lo, lo + 1, ..."""
+        key = 0
+        for e in reversed(exps):
+            key = key << cls.WIDTH | e
+        return key << cls.WIDTH * lo
 
     @classmethod
     def constant(cls, nvars: int, c=1) -> "MultiPoly":
@@ -284,6 +323,18 @@ class MultiPoly:
             terms[tuple(e)] = 1
         return cls(nvars, terms)
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], object]:
+        """Exponent tuple -> coefficient, the read-only view of the packed map."""
+        if self._view is None:
+            width, digit = self.WIDTH, self.MAX_DEGREE
+            shifts = range(0, width * self.nvars, width)
+            self._view = {
+                tuple(e >> s & digit for s in shifts): _exact(c)
+                for e, c in self._packed.items()
+            }
+        return self._view
+
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(tuple(exps), 0)
 
@@ -291,24 +342,31 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._packed.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out)
+        out = dict(self._packed)
+        for e, c in other._packed.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return MultiPoly._of(self.nvars, out, max(self._top, other._top))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -316,25 +374,25 @@ class MultiPoly:
     def scale(self, c) -> "MultiPoly":
         if c == 0:
             return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return MultiPoly._of(
+            self.nvars, {e: v * c for e, v in self._packed.items()}, self._top
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        a, b = self.terms, other.terms
+        a, b = self._packed, other._packed
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], object] = {}
+        out: dict[int, object] = {}
+        get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(self.nvars, out)
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        top = self._top + other._top
+        return MultiPoly._of(self.nvars, {e: c for e, c in out.items() if c}, top)
 
     __rmul__ = __mul__
 
@@ -363,7 +421,7 @@ class MultiPoly:
         ]
 
     def __repr__(self) -> str:
-        return f"MultiPoly(nvars={self.nvars}, terms={len(self.terms)})"
+        return f"MultiPoly(nvars={self.nvars}, terms={len(self)})"
 
 
 def substitute_power_sums(
@@ -384,19 +442,24 @@ def substitute_power_sums(
                 lam_cache[lam] = expand_lam(lam[:-1]) * img_cache[k]
         return lam_cache[lam]
 
-    acc: dict[tuple[int, ...], object] = {}
+    acc: dict[int, object] = {}
+    top = 0
     for lam, c in X.terms.items():
-        for e, v in expand_lam(lam).terms.items():
+        poly = expand_lam(lam)
+        top = max(top, poly._top)
+        for e, v in poly._packed.items():
             s = acc.get(e, 0) + c * v
             if s:
                 acc[e] = s
             else:
                 del acc[e]
-    return MultiPoly(nvars, acc)
+    return MultiPoly._of(nvars, acc, top)
 
 
 def expand_finite(X: PPoly, N: int) -> MultiPoly:
     """Expand X in variables z_1..z_N: substitute p_k -> z_1^k + ... + z_N^k."""
+    if N < 0:
+        raise VertexOutOfRange(f"-N must be a nonnegative number of variables, got {N}")
     if N > MAX_EXPAND_VARS or X.degree > MAX_EXPAND_DEGREE:
         raise ResourceBudgetExceeded(
             f"finite expansion capped at {MAX_EXPAND_VARS} variables"
@@ -446,10 +509,10 @@ def _expand_partition(
 def _lambda_weight(G: Graph, mask: int, nvars: int, lo: int, hi: int) -> MultiPoly:
     """Sum of p_{lambda(gamma)} over acyclic orientations of G[mask],
     expanded in variable slots lo..hi-1."""
-    out = MultiPoly(nvars)
+    acc: dict[int, object] = {}
     for lam, cnt in subgraph_lambda_tally(G, mask):
-        out = out + _expand_partition(lam, nvars, lo, hi).scale(cnt)
-    return out
+        _add_shifted(acc, _expand_partition(lam, nvars, lo, hi), 0, cnt)
+    return MultiPoly._of(nvars, acc, mask.bit_count())
 
 
 def _restriction_lambda(G: Graph, o: Orientation, mask: int) -> tuple[int, ...]:
@@ -460,13 +523,10 @@ def _restriction_lambda(G: Graph, o: Orientation, mask: int) -> tuple[int, ...]:
     return lambda_partition(source_components(H, restrict_orientation(G, o, mask)))
 
 
-def _add_shifted(
-    acc: dict, weight: MultiPoly, base: Sequence[int], factor: int
-) -> None:
-    """acc += factor * weight * monomial(base), written into a plain dict."""
-    base = tuple(base)
-    for e, v in weight.terms.items():
-        key = tuple(x + y for x, y in zip(e, base))
+def _add_shifted(acc: dict, weight: MultiPoly, base: int, factor: int) -> None:
+    """acc += factor * weight * the packed monomial base, into a packed map."""
+    for e, v in weight._packed.items():
+        key = e + base
         s = acc.get(key, 0) + factor * v
         if s:
             acc[key] = s
@@ -505,17 +565,16 @@ def _grouped_side(G: Graph, identity: str, *sizes: int, budget: Budget) -> Multi
     nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
     first_z = ny + (zero is not None)
     one = MultiPoly.constant(nvars)
-    acc: dict[tuple[int, ...], object] = {}
+    acc: dict[int, object] = {}
     for classes in enumerate_colorings(G, first_z + nz, ny, budget=budget):
-        key = [m.bit_count() for m in classes[:ny]] + [0] * (nvars - ny)
+        key = MultiPoly.pack([m.bit_count() for m in classes[:ny]])
+        key += MultiPoly.pack([m.bit_count() for m in classes[first_z:]], z)
         w = 1
-        for c in range(nz):
-            mask = classes[first_z + c]
+        for mask in classes[first_z:]:
             w *= subgraph_acyclic_count(G, mask)
-            key[z + c] = mask.bit_count()
         weight = one if zero is None else _lambda_weight(G, classes[ny], nvars, *zero)
         _add_shifted(acc, weight, key, w)
-    return MultiPoly(nvars, acc)
+    return MultiPoly._of(nvars, acc, G.n)
 
 
 def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
@@ -526,7 +585,7 @@ def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
     nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
     palette = list(range(-ny, 0)) + [0] * (zero is not None) + list(range(1, nz + 1))
     one = MultiPoly.constant(nvars)
-    acc: dict[tuple[int, ...], object] = {}
+    acc: dict[int, object] = {}
     for o in acyclic_orientation_list(G):
         for f in product(palette, repeat=G.n):
             if not is_descent_free(G, o, f):
@@ -547,8 +606,8 @@ def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
             else:
                 lam = _restriction_lambda(G, o, zero_block)
                 weight = _expand_partition(lam, nvars, *zero)
-            _add_shifted(acc, weight, key, 1)
-    return MultiPoly(nvars, acc)
+            _add_shifted(acc, weight, MultiPoly.pack(key), 1)
+    return MultiPoly._of(nvars, acc, G.n)
 
 
 def _alphabet_image(nvars: int, ny: int, k: int) -> MultiPoly:
@@ -590,8 +649,8 @@ def sides_report(
 ) -> IdentityReport:
     """Report on the sides of identity_sides: the monomial count of each
     and, when they differ, the smallest monomial whose coefficients differ."""
-    details = (f"{len(lhs.terms)} monomials algebraic side",
-               f"{len(rhs.terms)} monomials orientation side")
+    details = (f"{len(lhs)} monomials algebraic side",
+               f"{len(rhs)} monomials orientation side")
     equal = lhs == rhs
     if not equal:
         e = min(

@@ -16,7 +16,7 @@ from chromheap.config import Budget
 from chromheap.errors import ResourceBudgetExceeded
 from chromheap.families import cycle_graph
 from chromheap.reports import ReciprocityReport
-from chromheap.symfunc import MultiPoly
+from chromheap.symfunc import MultiPoly, identity_sides
 
 
 @pytest.fixture
@@ -232,29 +232,60 @@ def test_mismatch_exits_1(capsys, c4_file, monkeypatch):
     assert "mismatch" in err
 
 
-def test_symfunc_mismatch_names_the_first_difference(capsys, c4_file, monkeypatch):
-    # the orientation side gains a constant 5 that the degree-4 algebraic
-    # side lacks; each side is computed once and printed as computed
+@pytest.fixture
+def skewed_sides(monkeypatch):
+    """Make cli.identity_sides add extra to the orientation side; returns
+    the list of identities it was called for."""
     real = cli.identity_sides
     calls = []
 
-    def skewed(g, identity, *sizes, budget):
-        calls.append(identity)
-        lhs, rhs = real(g, identity, *sizes, budget=budget)
-        return lhs, rhs + MultiPoly.constant(rhs.nvars, 5)
+    def install(extra):
+        def skewed(g, identity, *sizes, budget):
+            calls.append(identity)
+            lhs, rhs = real(g, identity, *sizes, budget=budget)
+            return lhs, rhs + extra
 
-    monkeypatch.setattr(cli, "identity_sides", skewed)
+        monkeypatch.setattr(cli, "identity_sides", skewed)
+        return calls
+
+    return install
+
+
+def test_symfunc_mismatch_names_the_first_difference(capsys, c4_file, skewed_sides):
+    # the orientation side gains a constant 5 that the degree-4 algebraic
+    # side lacks; each side is computed once and printed as computed
+    calls = skewed_sides(MultiPoly.constant(2, 5))
     code, out, err = run_cli(
         capsys, "symfunc", "--graph", c4_file, "--check", "thm53", "--ny", "1", "--nz", "1"
     )
     assert code == 1 and calls == ["split_alphabet"]
     payload = json.loads(out)
-    lhs, rhs = real(cycle_graph(4), "split_alphabet", 1, 1)
+    lhs, rhs = identity_sides(cycle_graph(4), "split_alphabet", 1, 1)
     assert payload["equal"] is False
     assert payload["lhs"] == lhs.to_json_list()
     assert payload["rhs"] == [{"exponents": [0, 0], "num": "5", "den": "1"}, *rhs.to_json_list()]
     assert payload["details"][2] == "first difference at exponents [0, 0]: algebraic 0, orientation 5"
     assert "mismatch" in err
+
+
+def test_symfunc_mismatch_names_the_lexicographically_first_difference(capsys, c4_file, skewed_sides):
+    # x1 packs to 256 and x0^2 to 2, so the packed order would name x0^2;
+    # the report names the lexicographically smallest exponent tuple
+    skewed_sides(MultiPoly(2, {(2, 0): 3, (0, 1): 7, (1, 0): -1}) - MultiPoly(2, {(1, 0): -1}))
+    code, out, _ = run_cli(
+        capsys, "symfunc", "--graph", c4_file, "--check", "thm53", "--ny", "1", "--nz", "1"
+    )
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["details"][2] == "first difference at exponents [0, 1]: algebraic 0, orientation 7"
+    listed = [tuple(t["exponents"]) for t in payload["rhs"]]
+    assert listed == sorted(listed) and (0, 1) in listed and (2, 0) in listed
+
+
+def test_symfunc_negative_N_names_the_flag(capsys, c4_file):
+    code, out, err = run_cli(capsys, "symfunc", "--graph", c4_file, "-N", "-1")
+    assert (code, out) == (2, "")
+    assert "-N must be a nonnegative number of variables, got -1" in err
 
 
 def test_theorem1_huge_j_exits_quickly():
@@ -265,15 +296,16 @@ def test_theorem1_huge_j_exits_quickly():
     proc = subprocess.run(
         [sys.executable, "-m", "chromheap.cli", "reciprocity", "--check", "theorem1",
          "--graph", str(root / "data" / "c4.txt"), "-i", "1", "-j", "100000000"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=6, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["equal"] is True
 
 
 def test_heaps_huge_bound_exits_2_quickly(tmp_path):
-    # K1 at D = 100000 has only 100001 terms, but exp(P) multiplies about
-    # D^2 / 2 coefficient pairs; the pair charge stops it early
+    # K1 at D = 100000 has only 100001 terms, but exp(P) would multiply
+    # D (D + 1) / 2 coefficient pairs; they are charged before exp starts,
+    # so a charge that fired only as the pairs ran would pass the timeout
     root = Path(__file__).resolve().parents[1]
     k1 = tmp_path / "k1.txt"
     k1.write_text("1\n")
@@ -281,7 +313,7 @@ def test_heaps_huge_bound_exits_2_quickly(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chromheap.cli", "heaps", "--graph", str(k1), "-D", "100000"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=6, env=env,
     )
     assert proc.returncode == 2, proc.stderr
     assert "budget" in proc.stderr
