@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 identity mismatch (both sides are printed),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .chromatic import bivariate_polynomial, chi_hat, chromatic_polynomial
@@ -31,7 +31,7 @@ from .reciprocity import (
 )
 from .reports import IdentityReport, ReciprocityReport
 from .selfcheck import run_selfcheck
-from .series import check_heap_identities, heap_series_triple
+from .series import _prepay_heap_identities, check_heap_identities, heap_series_triple
 from .symfunc import (
     csf_powersum,
     expand_finite,
@@ -155,9 +155,55 @@ def _render_table(payload, indent: int = 0, key: str | None = None) -> list[str]
     return [f"{pad}{label}{payload}"]
 
 
+def _dumps(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the types a payload
+    holds: dict with str keys, list, tuple, str, int, bool and None.  The
+    json module has no C encoder for indented output; this writer quotes
+    strings with its C function and renders ints with int.__repr__, as
+    json does, and renders the str and int members of a container inline.
+    newline carries the indent of the line that closes obj."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        items = []
+        if kind is dict:
+            for k, v in obj.items():
+                if type(k) is not str:
+                    raise TypeError(f"payload keys must be str, not {type(k).__name__}")
+                key = encode_basestring_ascii(k)
+                if type(v) is str:
+                    items.append(f"{key}: {encode_basestring_ascii(v)}")
+                elif type(v) is int:
+                    items.append(f"{key}: {int.__repr__(v)}")
+                else:
+                    items.append(f"{key}: {_dumps(v, inner)}")
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        for v in obj:
+            if type(v) is str:
+                items.append(encode_basestring_ascii(v))
+            elif type(v) is int:
+                items.append(int.__repr__(v))
+            else:
+                items.append(_dumps(v, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise TypeError(f"payload values of type {kind.__name__} are not written")
+
+
 def _emit(payload: dict, mode: str) -> None:
     if mode == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print("\n".join(_render_table(payload)))
 
@@ -218,6 +264,7 @@ def _cmd_orientations(args, budget: Budget) -> tuple[int, dict]:
 def _cmd_heaps(args, budget: Budget) -> tuple[int, dict]:
     g = _require_graph(args)
     bound = args.D
+    _prepay_heap_identities(g, bound, budget)
     trivial, heap, pyramid = heap_series_triple(g, bound, budget)
     report = check_heap_identities(g, trivial, heap, pyramid, budget)
     payload = {

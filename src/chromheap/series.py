@@ -18,11 +18,17 @@ max(1, D.bit_length()) bits, so a monomial product is one integer add that
 never carries, and the slice product sum_k A_k B_{d-k} (`_degree`) never
 forms a term above D.  Multiplication, inverse, log and exp are recurrences
 over it, and their results are stored as they come out; `terms`, keyed by
-exponent tuples, is a view built on first use.  Each product or recurrence
-charges its coefficient pairs against Budget.enumeration_limit: as it runs
-in general, and up front where the count is known before the first degree
-(`_full_support_pairs`: the inversion of heap_series_triple and the exp
-step of check_heap_identities, both of which meet every monomial of H).
+exponent tuples, is a view built on first use.  Listings (to_json_list,
+repr) and mismatch reports read the slices in degree order, unpacking and
+sorting one slice at a time, so they never build the view.  Each product
+or recurrence charges its coefficient pairs against
+Budget.enumeration_limit: as it runs in general, and up front where the
+count is known before the first degree (`_full_support_pairs`: the
+inversion of heap_series_triple and the exp step of check_heap_identities,
+both of which meet every monomial of H).  Those counts, and the running
+total of the check's H * T(-x) product, follow from G and D alone
+(`_heap_slice_sizes`), so verify_heap_identities and the CLI charge them
+before any series is built.
 
 Heap routes, both in integers, from F = T(-x) built from the independent
 sets.  Inversion: H_d = -sum_{k>=1} F_k H_{d-k}.  Log, then exp: with theta
@@ -49,11 +55,19 @@ from .subsets import convolve
 MAX_HEAP_PIECES = 10
 
 Slices = list[dict]  # slice d maps packed monomials of degree d to coefficients
+_PAIRS = "series coefficient pairs"
 
 
 def _width(bound: int) -> int:
     """Bits per variable in a packed monomial."""
     return max(1, bound.bit_length())
+
+
+def _fields(nvars: int, bound: int) -> tuple[int, range]:
+    """(mask, shifts) of the exponent fields: exponent i of a packed
+    monomial k is k >> shifts[i] & mask."""
+    width = _width(bound)
+    return (1 << width) - 1, range(0, width * nvars, width)
 
 
 def _spread(vmask: int, width: int) -> int:
@@ -74,24 +88,24 @@ class _Work:
     def __init__(self, budget: Budget, prepaid: int | None = None):
         self.pairs, self.limit = 0, budget.enumeration_limit
         if prepaid is not None:
-            charge("series coefficient pairs", prepaid, self.limit)
+            charge(_PAIRS, prepaid, self.limit)
             self.limit = None
 
     def add(self, pairs: int) -> None:
         self.pairs += pairs
         if self.limit is not None:
-            charge("series coefficient pairs", self.pairs, self.limit)
+            charge(_PAIRS, self.pairs, self.limit)
 
 
-def _full_support_pairs(a: Slices, n: int) -> int:
-    """Coefficient pairs of a recurrence whose degree d <= D = len(a) - 1
-    takes sum_{k>=1} a_k e_{d-k}, when every e_j has all C(j+n-1, n-1)
-    monomials of degree j in n variables.  H has: every multiset of pieces
-    is the content of a heap.  By the hockey-stick identity a_k meets
-    sum_{j<=D-k} |e_j| = C(D-k+n, n) terms, so the count is exact when e is
-    H and an upper bound for any e."""
-    bound = len(a) - 1
-    return sum(len(x) * math.comb(bound - k + n, n) for k, x in enumerate(a) if k)
+def _full_support_pairs(sizes: Sequence[int], n: int) -> int:
+    """Coefficient pairs of a recurrence whose degree d <= D = len(sizes) - 1
+    takes sum_{k>=1} a_k e_{d-k}, with sizes[k] terms in a_k, when every e_j
+    has all C(j+n-1, n-1) monomials of degree j in n variables.  H has:
+    every multiset of pieces is the content of a heap.  By the hockey-stick
+    identity a_k meets sum_{j<=D-k} |e_j| = C(D-k+n, n) terms, so the count
+    is exact when e is H and an upper bound for any e."""
+    bound = len(sizes) - 1
+    return sum(size * math.comb(bound - k + n, n) for k, size in enumerate(sizes) if k)
 
 
 def _degree(a: list, b: Slices, d: int, work: _Work) -> dict:
@@ -202,9 +216,7 @@ class TruncatedSeries:
     def terms(self) -> dict[tuple[int, ...], object]:
         """Exponent tuple -> coefficient, the read-only view of the slices."""
         if self._view is None:
-            width = _width(self.bound)
-            digit = (1 << width) - 1
-            shifts = range(0, width * self.nvars, width)
+            digit, shifts = _fields(self.nvars, self.bound)
             self._view = {
                 tuple(k >> s & digit for s in shifts): c for x in self._slices for k, c in x.items()
             }
@@ -290,25 +302,36 @@ class TruncatedSeries:
         slices = [{k: v for k, c in x.items() if (v := fn(c)) != 0} for x in self._slices]
         return _series(self.nvars, self.bound, slices)
 
-    def _by_degree(self) -> list[tuple[int, ...]]:
-        """The exponent tuples of the view, by degree and then lexicographically."""
-        return sorted(self.terms, key=lambda k: (sum(k), k))
-
     def to_json_list(self) -> list[dict]:
         out = []
-        for k in self._by_degree():
-            c = Fraction(self.terms[k])
-            out.append({"exponents": list(k), "num": str(c.numerator), "den": str(c.denominator)})
+        for exps, c in _listing(self._slices, self.nvars):
+            if type(c) is int:
+                num, den = str(c), "1"
+            else:
+                c = c if type(c) is Fraction else Fraction(c)
+                num, den = str(c.numerator), str(c.denominator)
+            out.append({"exponents": exps, "num": num, "den": den})
         return out
 
     def __repr__(self) -> str:
-        items = self._by_degree()
         bits = []
-        for k in items[:12]:
-            mono = "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(k) if e)
-            bits.append(f"{self.terms[k]}{'*' + mono if mono else ''}")
-        tail = " + ..." if len(items) > 12 else ""
+        for exps, c in _listing(self._slices, self.nvars):
+            if len(bits) == 12:
+                break
+            mono = "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
+            bits.append(f"{c}{'*' + mono if mono else ''}")
+        tail = " + ..." if sum(map(len, self._slices)) > 12 else ""
         return f"TruncatedSeries({' + '.join(bits) or '0'}{tail})"
+
+
+def _listing(slices: Slices, nvars: int):
+    """Yield (exponent list, value) by degree and then lexicographically,
+    unpacking and sorting one slice at a time."""
+    digit, shifts = _fields(nvars, len(slices) - 1)
+    for x in slices:
+        # distinct monomials of one slice unpack to distinct lists, so the
+        # sort never compares values
+        yield from sorted([([k >> s & digit for s in shifts], c) for k, c in x.items()])
 
 
 def _guard_series_size(n: int, bound: int, budget: Budget) -> None:
@@ -419,14 +442,78 @@ def heap_series_triple(
     """(T, H, P): H = 1 / F by inversion and P = -log F by theta log, from one F = T(-x)."""
     _guard_series_size(G.n, bound, budget)
     f = _trivial_slices(G, bound, -1)
-    h = _inverse(f, _Work(budget, prepaid=_full_support_pairs(f, G.n)))
+    h = _inverse(f, _Work(budget, prepaid=_full_support_pairs(list(map(len, f)), G.n)))
     p = _divide_theta(_theta_log(f, _Work(budget)), -1)
     return tuple(_series(G.n, bound, s) for s in (_trivial_slices(G, bound), h, p))
 
 
+def _heap_slice_sizes(G: Graph, bound: int) -> tuple[list[int], list[int]]:
+    """The slice sizes of F = T(-x) and of P that heap_series_triple builds,
+    from G alone.  F_d has one term per independent d-set.  A pyramid count
+    is positive exactly when the support of its type induces a connected
+    subgraph, and a connected s-set carries C(d-1, s-1) types of degree d,
+    so |P_d| = sum_s c_s C(d-1, s-1) with c_s the connected induced
+    s-vertex subgraphs, s <= min(n, D): no more sets than the C(D+n, n)
+    terms that _guard_series_size has charged."""
+    f = [0] * (bound + 1)
+    for mask in independent_sets(G):
+        if mask.bit_count() <= bound:
+            f[mask.bit_count()] += 1
+    connected, level = [0], {1 << v for v in range(G.n)}
+    while level and len(connected) <= bound:
+        connected.append(len(level))
+        if len(connected) > bound:
+            break
+        grown = set()
+        for vs in level:
+            reach = 0
+            for v in iter_vertices(vs):
+                reach |= G.adj[v - 1]
+            grown.update(vs | 1 << (w - 1) for w in iter_vertices(reach & ~vs))
+        level = grown
+    p = [0] + [
+        sum(c * math.comb(d - 1, s - 1) for s, c in enumerate(connected) if s) for d in range(1, bound + 1)
+    ]
+    return f, p
+
+
+def _prepay_heap_identities(G: Graph, bound: int, budget: Budget) -> None:
+    """Charge, from G and the bound alone and in their order, every charge
+    of heap_series_triple and check_heap_identities: the series size, the
+    inversion's pairs, the exp(P) step's pairs, and the H * T(-x) product's
+    running total degree by degree.  The theta log charges as it runs too,
+    but never past the inversion's count, as no slice of P is larger than
+    the slice of H of its degree.  Each count is exact, so this refuses what
+    those refuse, with the same message, before any series is built; their
+    charges repeat it."""
+    _guard_series_size(G.n, bound, budget)
+    f, p = _heap_slice_sizes(G, bound)
+    charge(_PAIRS, _full_support_pairs(f, G.n), budget.enumeration_limit)
+    charge(_PAIRS, _full_support_pairs(p, G.n), budget.enumeration_limit)
+    h = [1] + [math.comb(j + G.n - 1, j) for j in range(1, bound + 1)]  # |H_j|
+    f_items = [(k, size) for k, size in enumerate(f) if size]
+    total = 0
+    for d in range(bound + 1):
+        total += sum(size * h[d - k] for k, size in f_items if k <= d)
+        charge(_PAIRS, total, budget.enumeration_limit)
+
+
 def verify_heap_identities(G: Graph, bound: int, budget: Budget = DEFAULT_BUDGET) -> IdentityReport:
     """Check the series identities up to the degree bound (see check_heap_identities)."""
+    _prepay_heap_identities(G, bound, budget)
     return check_heap_identities(G, *heap_series_triple(G, bound, budget), budget)
+
+
+def _mismatch(failure: str, a: Slices, b: Slices, nvars: int) -> list[str]:
+    """failure, then the first monomial, by degree and then exponent tuple,
+    whose coefficients in a and b differ, with both coefficients."""
+    differing = [
+        {k: (x.get(k, 0), y.get(k, 0)) for k in x.keys() | y.keys() if x.get(k, 0) != y.get(k, 0)}
+        for x, y in zip(a, b)
+    ]
+    for exps, (u, v) in _listing(differing, nvars):
+        return [failure, f"first difference at exponents {exps}: {u} vs {v}"]
+    return [failure]
 
 
 def check_heap_identities(
@@ -446,12 +533,17 @@ def check_heap_identities(
     h, p = H._slices, P._slices
     # theta drops the constant term, and exp(P) = H needs P_0 = 0; theta P
     # has the support of P, so the exp route is charged before any work
-    exp_work = _Work(budget, prepaid=_full_support_pairs(p, P.nvars)) if P.constant_term() == 0 else None
+    exp_pairs = _full_support_pairs(list(map(len, p)), P.nvars)
+    exp_work = _Work(budget, prepaid=exp_pairs) if P.constant_term() == 0 else None
     failures = []
-    if _product(h, f, _Work(budget)) != [{0: 1}] + [{} for _ in range(bound)]:
-        failures.append("H * T(-x) != 1")
-    if exp_work is None or _exp_of_theta(_theta(p), exp_work) != h:
+    one = [{0: 1}] + [{} for _ in range(bound)]
+    product = _product(h, f, _Work(budget))
+    if product != one:
+        failures += _mismatch("H * T(-x) != 1", product, one, H.nvars)
+    if exp_work is None:
         failures.append("exp(P) != H")
+    elif (e := _exp_of_theta(_theta(p), exp_work)) != h:
+        failures += _mismatch("exp(P) != H", e, h, H.nvars)
     if G.n <= 5:
         vsets = [V for V in range(1 << G.n) if V.bit_count() <= bound]
         tallies = {V: subgraph_source_mask_tally(G, V) for V in vsets}

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromheap import cli
 from chromheap.chromatic import chromatic_polynomial
@@ -317,6 +321,110 @@ def test_heaps_huge_bound_exits_2_quickly(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert "budget" in proc.stderr
+
+
+def test_heaps_refuses_before_building_any_series(capsys, monkeypatch, tmp_path):
+    # every up-front count comes from G and D alone, so a refused call
+    # never reaches the series
+    def unreachable(*args, **kwargs):
+        raise AssertionError("heap_series_triple ran for a refused call")
+
+    monkeypatch.setattr(cli, "heap_series_triple", unreachable)
+    k1 = tmp_path / "k1.txt"
+    k1.write_text("1\n")
+    code, out, err = run_cli(capsys, "heaps", "--graph", str(k1), "-D", "100000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: series coefficient pairs needs 5000050000 > budget 8000000;"
+        " raise the budget or shrink the input\n"
+    )
+
+
+# --- the JSON writer ------------------------------------------------------
+
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001f600"]),
+        st.characters(),
+    ),
+    max_size=6,
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(2**80), max_value=2**80), JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_json_dumps_indent_2(obj):
+    assert cli._dumps(obj) + "\n" == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj, kind", [
+    (1.5, "float"),
+    ({"a": [0, {"b": 0.5}]}, "float"),
+    ({1: "x"}, "int"),
+    ([{"a": 1}, {None: 2}], "NoneType"),
+    ({"s": {1, 2}}, "set"),
+])
+def test_writer_refuses_other_types(obj, kind):
+    with pytest.raises(TypeError, match=kind):
+        cli._dumps(obj)
+
+
+def _shape_graphs(tmp_path) -> list[tuple[str, int]]:
+    pairs = list(combinations(range(1, 8), 2))
+    g7 = random.Random(7).sample(pairs, 12)
+    texts = {
+        "c4": "4\n1 2\n2 3\n3 4\n4 1\n",
+        "k1": "1\n",
+        "e0": "0\n",
+        "g7": "7\n" + "".join(f"{u} {v}\n" for u, v in g7),
+    }
+    out = []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        out.append((str(path), int(text.split()[0])))
+    return out
+
+
+def _assert_indent_2(out: str) -> None:
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_every_subcommand_prints_json_dumps_indent_2(capsys, tmp_path, skewed_sides):
+    graphs = _shape_graphs(tmp_path)
+    for path, n in graphs:
+        for argv in (
+            ["chromatic", "-d", "1", "-q", "-1"],
+            ["chihat", "-d", str(min(n, 1))],
+            ["bivariate"],
+            ["orientations"],
+            ["heaps", "-D", "3"],
+            ["reciprocity", "--check", "theorem1", "-i", "1", "-j", "1"],
+            ["symfunc", "-N", "2"],
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--graph", path)
+            assert code == 0, argv
+            _assert_indent_2(out)
+    code, out, _ = run_cli(capsys, "selfcheck")
+    assert code == 0
+    _assert_indent_2(out)
+    # a mismatch prints both sides as lists of terms
+    skewed_sides(MultiPoly.constant(2, 5))
+    code, out, _ = run_cli(capsys, "symfunc", "--graph", graphs[0][0], "--check", "thm53")
+    assert code == 1 and json.loads(out)["lhs"] and json.loads(out)["rhs"]
+    _assert_indent_2(out)
 
 
 def test_help_exits_0(capsys):

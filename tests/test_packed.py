@@ -208,3 +208,43 @@ def test_series_output_orders_by_degree_then_tuple():
     assert [t["exponents"] for t in s.to_json_list()] == [
         [0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0], [3, 0],
     ]
+
+
+@st.composite
+def listed_series(draw):
+    """A tuple map in 0..3 variables within a bound 0..9, with up to 16
+    terms, so that repr's cut after 12 terms is reached."""
+    nvars = draw(st.integers(min_value=0, max_value=3))
+    bound = draw(st.integers(min_value=0, max_value=9))
+    out = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        exps, room = [], draw(st.integers(0, bound))
+        for _ in range(nvars):
+            e = draw(st.integers(0, room))
+            exps.append(e)
+            room -= e
+        out[tuple(exps)] = draw(COEFFS)
+    return nvars, bound, out
+
+
+def ref_listing(terms: dict) -> list[tuple[tuple[int, ...], object]]:
+    return sorted(_clean(terms).items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+@given(listed_series())
+@settings(max_examples=200, deadline=None)
+def test_series_listing_reads_slices_in_degree_then_tuple_order(case):
+    nvars, bound, terms = case
+    s = TruncatedSeries(nvars, bound, terms)
+    rows = ref_listing(terms)
+    want = []
+    for e, c in rows:
+        c = Fraction(c)
+        want.append({"exponents": list(e), "num": str(c.numerator), "den": str(c.denominator)})
+    assert s.to_json_list() == want
+    bits = []
+    for e, c in rows[:12]:
+        mono = "*".join(f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}" for i, k in enumerate(e) if k)
+        bits.append(f"{c}*{mono}" if mono else f"{c}")
+    tail = " + ..." if len(rows) > 12 else ""
+    assert repr(s) == f"TruncatedSeries({' + '.join(bits) or '0'}{tail})"

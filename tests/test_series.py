@@ -7,7 +7,9 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chromheap import series
 from chromheap.errors import InternalInvariantViolation, ResourceBudgetExceeded, VertexOutOfRange
 from chromheap.config import Budget
 from chromheap.families import complete_graph, cycle_graph, path_graph
@@ -216,6 +218,32 @@ def test_perturbed_series_are_reported(graph):
         assert "exp(P) != H" in details and "H * T(-x) != 1" not in details, exps
 
 
+def test_heap_mismatch_names_the_first_differing_monomial(c4, monkeypatch):
+    t, h, p = heap_series_triple(c4, 4)
+    # H gains x2 x3, which H * T(-x) = 1 + x2 x3 + ... then carries as its
+    # lowest wrong term; exp(P) is still the true H (the squarefree shadow
+    # checks report the bump after these)
+    details = check_heap_identities(c4, t, _bumped(h, (0, 1, 1, 0)), p).details
+    assert details[:4] == (
+        "H * T(-x) != 1", "first difference at exponents [0, 1, 1, 0]: 1 vs 0",
+        "exp(P) != H", "first difference at exponents [0, 1, 1, 0]: 2 vs 3",
+    )
+    # one side of exp(P) = H skewed at three monomials: degree comes first,
+    # then the tuple, although x1^2 packs below x1 x2
+    real = series._exp_of_theta
+
+    def skewed(theta, work):
+        e = series._series(4, 4, real(theta, work))
+        for m in ((0, 0, 0, 3), (2, 0, 0, 0), (1, 1, 0, 0)):
+            e = _bumped(e, m)
+        return e._slices
+
+    monkeypatch.setattr(series, "_exp_of_theta", skewed)
+    report = check_heap_identities(c4, t, h, p)
+    assert not report.equal
+    assert report.details == ("exp(P) != H", "first difference at exponents [1, 1, 0, 0]: 3 vs 2")
+
+
 def test_shadow_catches_another_graphs_triple(c4):
     # P4's triple satisfies H * T(-x) = 1 and exp(P) = H by itself, so only
     # the orientation-side shadow can tell it does not belong to C4
@@ -233,6 +261,42 @@ def test_work_charge_stops_long_recurrences():
         verify_heap_identities(k1, 14, tight)  # 105 pairs
     with pytest.raises(ResourceBudgetExceeded):
         heap_series(complete_graph(3), 40, tight)
+
+
+@given(graphs(), st.integers(min_value=0, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_slice_sizes_come_from_the_graph_alone(g, bound):
+    _, _, p = heap_series_triple(g, bound)
+    f = series._trivial_slices(g, bound, -1)
+    assert series._heap_slice_sizes(g, bound) == ([len(x) for x in f], [len(x) for x in p._slices])
+
+
+def _refusal(run) -> str | None:
+    try:
+        run()
+    except ResourceBudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+def test_prepaid_refusals_match_the_running_route():
+    # the prepaid charges alone refuse what building the triple and checking
+    # it refuses, with the same message, before any series exists
+    cases = [from_edge_list(0, []), complete_graph(1), from_edge_list(3, []), cycle_graph(4),
+             complete_graph(3), path_graph(5)]
+    refused = 0
+    for g in cases:
+        for bound in range(9):
+            for budget in (Budget(enumeration_limit=300), Budget(enumeration_limit=60),
+                           Budget(series_terms=40)):
+                prepaid = _refusal(lambda: series._prepay_heap_identities(g, bound, budget))
+                running = _refusal(
+                    lambda: check_heap_identities(g, *heap_series_triple(g, bound, budget), budget)
+                )
+                assert prepaid == running, (g, bound, budget)
+                assert _refusal(lambda: verify_heap_identities(g, bound, budget)) == running
+                refused += running is not None
+    assert 0 < refused < 6 * 9 * 3
 
 
 def test_budget_guard():
