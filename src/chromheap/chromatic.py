@@ -25,8 +25,8 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graphs import (
-    TABLE_MAX_VERTICES, Graph, blowup, components, graph_cached, independence_table,
-    induced_subgraph, is_clique, iter_vertices, vset,
+    TABLE_MAX_VERTICES, Graph, blowup, components, graph_cached, independence_polynomials,
+    independence_table, induced_subgraph, is_clique, iter_vertices, table_entries, vset,
 )
 from .polynomials import BivariatePoly, Poly
 from .subsets import power
@@ -109,22 +109,16 @@ def _ranked_table(G: Graph, budget: Budget) -> list[list[int]]:
 
         A[w][k] = sum over S of (-1)^(w-|S|) C(n-|S|, w-|S|) [z^w](f_S - 1)^k
 
-    with f_S(z) the rank polynomial of the independent subsets of S, from
-    f_S = f_{S-v} + z f_{S-N[v]}, v = min S, packed n+1 bits a coefficient.
-    Its z-coefficient is |S|, so each distinct f_S is powered once and the
+    with f_S(z) the rank polynomial of the independent subsets of S
+    (graphs.independence_polynomials, n+1 bits a coefficient).  Its
+    z-coefficient is |S|, so each distinct f_S is powered once and the
     powers are summed per size.  [z^w](f_S - 1)^k <= C(nk, w) <= C(n^2, n)
     and under 2^n sets share a size, so a slot of C(n^2, n).bit_length() +
     n + 1 bits holds every sum.  The 2^n table is charged as the memo.
     """
     n = G.n
-    if n > TABLE_MAX_VERTICES:
-        raise TooManyVertices(f"2^n table capped at n={TABLE_MAX_VERTICES}, got n={n}")
-    charge("subset rank table entries", 1 << n, budget.memo_entries)
-    bits, adj = n + 1, G.adj
-    f = [1] * (1 << n)
-    for S in range(1, 1 << n):
-        low = S & -S
-        f[S] = f[S ^ low] + (f[S & ~low & ~adj[low.bit_length() - 1]] << bits)
+    charge("subset rank table entries", table_entries(n), budget.memo_entries)
+    bits, f = n + 1, independence_polynomials(G)
     width = math.comb(n * n, n).bit_length() + n + 1
     keep, digit, slot = (1 << width * (n + 1)) - 1, (1 << bits) - 1, (1 << width) - 1
     sums = [[0] * (n + 1) for _ in range(n + 1)]  # sums[|S|][k]: packed (f_S - 1)^k

@@ -343,10 +343,15 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first run
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on -h
         return int(exc.code or 0)
     try:

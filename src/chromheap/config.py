@@ -13,9 +13,10 @@ from .errors import ResourceBudgetExceeded
 
 @dataclass(frozen=True)
 class Budget:
-    # max memo entries for deletion-contraction and max entries of the
-    # ranked subset table (2^n); chromatic_polynomial's "auto" gives a 2-core
-    # the table when it fits and deletion-contraction otherwise
+    # max memo entries for deletion-contraction and max entries (2^n) of
+    # the ranked subset table and of each a/b orientation table;
+    # chromatic_polynomial's "auto" gives a 2-core the ranked table when it
+    # fits and deletion-contraction otherwise
     memo_entries: int = 1_000_000
     # max colorings / tuples a single direct enumeration may touch, and max
     # coefficient pairs one series product or recurrence may multiply

@@ -322,12 +322,18 @@ def check_ascending_labels(G: Graph) -> bool:
     return True
 
 
+def table_entries(n: int) -> int:
+    """2^n, the entries of a table indexed by the subsets of n vertices;
+    refuses n > TABLE_MAX_VERTICES before any table is built."""
+    if n > TABLE_MAX_VERTICES:
+        raise TooManyVertices(f"2^n table capped at n={TABLE_MAX_VERTICES}, got n={n}")
+    return 1 << n
+
+
 @graph_cached
 def independence_table(G: Graph) -> bytes:
     """byte[mask] = 1 iff mask is an independent set; needs n <= 22."""
-    if G.n > TABLE_MAX_VERTICES:
-        raise TooManyVertices(f"2^n table capped at n={TABLE_MAX_VERTICES}, got n={G.n}")
-    size = 1 << G.n
+    size = table_entries(G.n)
     table = bytearray(size)
     table[0] = 1
     adj = G.adj
@@ -343,3 +349,17 @@ def independent_sets(G: Graph) -> list[int]:
     """All independent sets as bitmasks, in increasing numeric order."""
     table = independence_table(G)
     return [mask for mask in range(1 << G.n) if table[mask]]
+
+
+def independence_polynomials(G: Graph) -> list[int]:
+    """f[S] = sum_k i_k(S) z^k at z = 2^(n+1) for every mask S: the
+    independence polynomial of G[S], with i_k(S) its independent k-sets,
+    packed n + 1 bits a coefficient (i_k(S) <= C(n, k) < 2^(n+1)).  From
+    f_S = f_{S-v} + z f_{S-N[v]}, v = min S; needs n <= 22.  Not memoized:
+    each caller overwrites or drops the list once it has read it."""
+    size, bits, adj = table_entries(G.n), G.n + 1, G.adj
+    f = [1] * size
+    for S in range(1, size):
+        low = S & -S
+        f[S] = f[S ^ low] + (f[S & ~low & ~adj[low.bit_length() - 1]] << bits)
+    return f

@@ -6,23 +6,31 @@ with u < v is oriented u -> v, bit e set means v -> u.  Orientation
 equality and ordering therefore compare direction bits in the canonical
 edge order of the host graph.
 
-The two 2^n tables computed here drive every fast counting path.  With
-t[U] = (-1)^|U| for independent U and 0 otherwise, both are triangular
-solves over the subset lattice (subsets.solve):
+The two 2^n tables computed here drive every fast counting path:
 
-* a[V] = number of acyclic orientations of G[V], from
-  sum over U subset of V of t[U] a[V \\ U] = [V is empty];
+* a[V] = number of acyclic orientations of G[V];
 * b[V] = number of acyclic orientations of G[V] whose unique source is
-  min(V), from the same sum restricted to U avoiding min(V), set equal
-  to -t[V] for nonempty V.
+  min(V).
+
+Both are squarefree coefficients of heap series (Cartier-Foata; Viennot,
+Heaps of pieces I, 1986), with T the independent-set series of G and
+theta the Euler operator x^m -> |m| x^m: a[V] is [x^V] of the heap series
+1 / T(-x), and |V| b[V] is [x^V] of the pyramid series theta(-log T(-x)).
+Put as subset convolutions, with t[U] = (-1)^|U| for independent U and 0
+otherwise: t * a is 1 at the empty set and 0 elsewhere, and the sum over
+U subset of V - min(V) of t[U] b[V \\ U] is -t[V] for nonempty V.
+_heap_table evaluates the series in one variable per subset, one integer
+division each, and reads both tables off after one Moebius pass.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
+from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import (
     CyclicOrientation,
     InternalInvariantViolation,
@@ -33,14 +41,14 @@ from .errors import (
 from .graphs import (
     Graph,
     graph_cached,
-    independence_table,
+    independence_polynomials,
     induced_subgraph,
     iter_vertices,
     reachable,
+    table_entries,
     vset_min,
     vset_tuple,
 )
-from .subsets import identity, solve
 
 MAX_ENUM_EDGES = 26
 
@@ -259,25 +267,106 @@ def is_descent_free(G: Graph, o: Orientation, coloring: Sequence[int]) -> bool:
 # subset tables
 
 
-def _signed_independents(G: Graph) -> list[int]:
-    """t[U] = (-1)^|U| if U is independent, else 0; enforces the n <= 22 cap."""
-    indep = independence_table(G)
-    return [(-1 if U.bit_count() & 1 else 1) if indep[U] else 0 for U in range(1 << G.n)]
+_RUN = 1 << 12  # pairs per slice in _moebius
 
 
-def acyclic_count_table(G: Graph) -> list[int]:
-    """a[V] = number of acyclic orientations of G[V], for every mask V."""
-    t = _signed_independents(G)
-    return solve(t, identity(G.n), G.n)
+def _moebius(f: list[int]) -> None:
+    """The Moebius transform in place, f[V] <- sum over S subset of V of
+    (-1)^|V-S| f[S]: for each bit v in turn, f[V] -= f[V - v] for every V
+    holding v.  The pairs go one slice at a time, strided while v is low
+    and contiguous once it is high, so at most _RUN new ints are alive
+    beside f."""
+    size, half = len(f), 1
+    while half < size:
+        step = 2 * half
+        if half * half <= size:
+            span = min(size, _RUN * step)
+            for base in range(0, size, span):
+                end = base + span
+                for lo in range(base, base + half):
+                    f[lo + half:end:step] = map(sub, f[lo + half:end:step], f[lo:end:step])
+        else:
+            for lo in range(0, size, step):
+                for c in range(lo, lo + half, _RUN):
+                    end = min(c + _RUN, lo + half)
+                    f[c + half:end + half] = map(sub, f[c + half:end + half], f[c:end])
+        half = step
 
 
-def unique_source_min_table(G: Graph) -> list[int]:
-    """b[V] = acyclic orientations of G[V] whose unique source is min(V);
-    b of the empty set is 0."""
-    t = _signed_independents(G)
-    rhs = [-x for x in t]
-    rhs[0] = 0
-    return solve(t, rhs, G.n, anchored=True)
+@graph_cached
+def _heap_table(G: Graph, pyramids: bool) -> list[int]:
+    """a (pyramids false) or b (pyramids true) over every mask V, read off
+    the heap series of G[S] for each S.
+
+    Series.  With F_S(z) = I_S(-z), I_S the independence polynomial of
+    G[S], 1 / F_S(z) = sum_k h_k(S) z^k counts the heaps of k pieces over
+    G[S], and z d/dz (-log F_S(z)) = sum_k p_k(S) z^k its pyramids, the
+    heaps with one minimal piece (Viennot, Heaps of pieces I, 1986).
+    Moebius over S, sum over S subset of V of (-1)^|V-S|, leaves c_k(V):
+    the heaps or pyramids of k pieces that use every vertex of V.  At k =
+    |V| each vertex is one piece, so these are the acyclic orientations of
+    G[V], minimal pieces being sources, and for pyramids those with a
+    unique source: |V| b[V] of them, as each vertex of a connected G[V] is
+    the unique source equally often (Greene-Zaslavsky) and a disconnected
+    one has none.  So a[V] and |V| b[V] are c_|V|(V).
+
+    Digits.  Each series is one integer division (Kronecker substitution;
+    Bjorklund, Husfeldt, Kaski, Koivisto, Fourier meets Moebius, 2007).
+    Let B = 2^w, R_S = B^n F_S(1/B) and N_S = -B^n (z F_S')(1/B); then
+    B^2n / R_S = sum_k h_k B^(n-k) and N_S B^n / R_S = sum_k p_k B^(n-k).
+    A heap is a class of words, so 0 <= p_k <= h_k <= n^k (n >= 1; n = 0
+    takes the width of n = 1): the series converge, R_S > 0, and the terms
+    with k > n sum to at most sum_{j>=1} n^(n+j) B^-j = n^(n+1) / (B - n),
+    below 1 since w is the bit length of n^(n+1) + n.  So each floor is
+    exactly sum_{k<=n} h_k B^(n-k) or sum_{k<=n} p_k B^(n-k).  The Moebius
+    pass is linear, so it leaves sum_{k<=n} c_k(V) B^(n-k), and 0 <= c_k(V)
+    <= h_k(V) <= n^n < B: no digit borrows from another, and c_|V|(V) is
+    the digit at B^(n-|V|).
+
+    One division per distinct F_S, and the quotients overwrite the list of
+    independence polynomials, so one 2^n list of packed ints is alive.
+    """
+    n = G.n
+    f = independence_polynomials(G)
+    bits, m = n + 1, max(n, 1)
+    w = (m ** (m + 1) + m).bit_length()
+    digit, high = (1 << bits) - 1, n * w  # B^n = 1 << high
+
+    def divide(packed: int) -> int:
+        r = d = 0  # R_S and N_S
+        for k in range(n + 1):
+            c = (packed >> bits * k & digit) << w * (n - k)
+            r += -c if k & 1 else c
+            d += k * c if k & 1 else -k * c
+        return (d << high if pyramids else 1 << 2 * high) // r
+
+    f[:] = map({packed: divide(packed) for packed in set(f)}.__getitem__, f)
+    _moebius(f)
+    slot = (1 << w) - 1
+    f[:] = [x >> w * (n - V.bit_count()) & slot for V, x in enumerate(f)]
+    if pyramids:  # |V| b[V] to b[V]; the empty set has no pyramid
+        f[1:] = [c // V.bit_count() for V, c in enumerate(f[1:], 1)]
+    return f
+
+
+def _charged_copy(G: Graph, pyramids: bool, budget: Budget) -> list[int]:
+    charge("orientation table entries", table_entries(G.n), budget.memo_entries)
+    return list(_heap_table(G, pyramids))
+
+
+def acyclic_count_table(G: Graph, budget: Budget = DEFAULT_BUDGET) -> list[int]:
+    """a[V] = number of acyclic orientations of G[V], for every mask V: the
+    squarefree coefficients of the heap series.  Its 2^n entries are
+    charged to budget.memo_entries first.  Memoized on G; each call returns
+    a fresh list."""
+    return _charged_copy(G, False, budget)
+
+
+def unique_source_min_table(G: Graph, budget: Budget = DEFAULT_BUDGET) -> list[int]:
+    """b[V] = acyclic orientations of G[V] whose unique source is min(V),
+    the squarefree pyramid counts divided by |V|; b of the empty set is 0.
+    Charged and memoized as acyclic_count_table."""
+    return _charged_copy(G, True, budget)
 
 
 def count_bipolar(G: Graph, u: int, v: int) -> int:

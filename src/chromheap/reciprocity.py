@@ -93,8 +93,8 @@ def check_derivative_reciprocity(
     n = G.n
     if n > DP_MAX_VERTICES:
         raise TooManyVertices(f"tuple DP capped at n={DP_MAX_VERTICES}, got {n}")
-    a = acyclic_count_table(G)
-    b = unique_source_min_table(G)
+    a = acyclic_count_table(G, budget)
+    b = unique_source_min_table(G, budget)
     full = G.full_mask
     strata = None
     if i == 0:
@@ -282,8 +282,8 @@ def check_clique_quotient_reciprocity(
         raise NotAClique(f"vertices 1..{d} are not pairwise adjacent")
     if i < 0 or j < 0 or d < 0:
         raise VertexOutOfRange("d, i, j must be nonnegative")
-    a = acyclic_count_table(G)
-    b = unique_source_min_table(G)
+    a = acyclic_count_table(G, budget)
+    b = unique_source_min_table(G, budget)
     pinned = [
         ([b[V] if V >> (t - 1) & 1 else 0 for V in range(1 << n)], 1)
         for t in range(1, d + 1)
@@ -362,7 +362,7 @@ def check_bivariate_reciprocity(
         raise TooManyVertices(f"bivariate DP capped at n=12, got {n}")
     if j < 0 or k < 0:
         raise VertexOutOfRange("j and k must be nonnegative")
-    free = power(acyclic_count_table(G), j, n)  # k bare blocks cover the rest in k^|rest| ways
+    free = power(acyclic_count_table(G, budget), j, n)  # k bare blocks cover the rest in k^|rest| ways
     count = sum(c * k ** (n - T.bit_count()) for T, c in enumerate(free) if c)
     poly = bivariate_polynomial(G, budget=budget)
     poly_side = _sign(n) * poly.evaluate(-j, -k)

@@ -47,8 +47,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, TooManyVertices, VertexOutOfRange
-from .graphs import Graph, blowup, blowup_types, independent_sets, iter_vertices, vset, vset_tuple
-from .orientations import _iter_acyclic_bits, _signed_independents, subgraph_source_mask_tally
+from .graphs import Graph, blowup, blowup_types, independence_table, iter_vertices, vset, vset_tuple
+from .orientations import _iter_acyclic_bits, subgraph_source_mask_tally
 from .reports import IdentityReport
 from .subsets import convolve
 
@@ -340,14 +340,30 @@ def _guard_series_size(n: int, bound: int, budget: Budget) -> None:
     charge("truncated series", math.comb(bound + n, n), budget.series_terms)
 
 
+def _independent_levels(G: Graph, bound: int) -> list[list[int]]:
+    """Level d lists the independent d-sets of G, for d <= bound: each set
+    grows from the set of its d - 1 lowest vertices, so only sets within
+    the bound are visited, and no 2^n table is built."""
+    levels, level = [[0]], [(0, G.full_mask)]  # (set, vertices that may join it)
+    while level and len(levels) <= bound:
+        grown = []
+        for mask, free in level:
+            while free:
+                low = free & -free
+                free ^= low
+                grown.append((mask | low, free & ~G.adj[low.bit_length() - 1]))
+        levels.append([mask for mask, _ in grown])
+        level = grown
+    return levels + [[] for _ in range(bound + 1 - len(levels))]
+
+
 def _trivial_slices(G: Graph, bound: int, sign: int = 1, avoid: int = 0) -> Slices:
     """T_{avoid-bar}(sign * x): sign^|I| x^I for each independent set I missing avoid."""
-    out: Slices = [{} for _ in range(bound + 1)]
-    for mask in independent_sets(G):
-        d = mask.bit_count()
-        if d <= bound and not mask & avoid:
-            out[d][_spread(mask, _width(bound))] = sign**d
-    return out
+    width = _width(bound)
+    return [
+        {_spread(mask, width): sign**d for mask in masks if not mask & avoid}
+        for d, masks in enumerate(_independent_levels(G, bound))
+    ]
 
 
 def _series(nvars: int, bound: int, slices: Slices) -> TruncatedSeries:
@@ -455,10 +471,7 @@ def _heap_slice_sizes(G: Graph, bound: int) -> tuple[list[int], list[int]]:
     so |P_d| = sum_s c_s C(d-1, s-1) with c_s the connected induced
     s-vertex subgraphs, s <= min(n, D): no more sets than the C(D+n, n)
     terms that _guard_series_size has charged."""
-    f = [0] * (bound + 1)
-    for mask in independent_sets(G):
-        if mask.bit_count() <= bound:
-            f[mask.bit_count()] += 1
+    f = list(map(len, _independent_levels(G, bound)))
     connected, level = [0], {1 << v for v in range(G.n)}
     while level and len(connected) <= bound:
         connected.append(len(level))
@@ -548,7 +561,8 @@ def check_heap_identities(
         vsets = [V for V in range(1 << G.n) if V.bit_count() <= bound]
         tallies = {V: subgraph_source_mask_tally(G, V) for V in vsets}
         hv = [H.coefficient_of_set(W) for W in range(1 << G.n)]
-        signed = _signed_independents(G)
+        indep = independence_table(G)
+        signed = [(-1) ** U.bit_count() * indep[U] for U in range(1 << G.n)]
         for smask in range(1 << G.n):
             numerator = [0 if U & smask else t for U, t in enumerate(signed)]
             h_s = convolve(numerator, hv, G.n)

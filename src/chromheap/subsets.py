@@ -6,16 +6,15 @@ two tables is the subset convolution
     (f * g)[V] = sum over U subset of V of f[U] g[V \\ U],
 
 so a k-fold product counts ordered k-tuples of pairwise disjoint blocks
-covering V, each block weighted by its own table.  The anchored solve
-keeps only the terms where min(V) lies in the block it solves for, so
-its tuples come in decreasing order of their blocks' minima: each
-unordered partition once.
+covering V, each block weighted by its own table.  One product costs 3^n
+steps.
 
-Every subset-lattice sum in the package goes through these functions
-but two, which walk the lattice themselves: symfunc._connected_csf,
-whose entries are maps from partitions to coefficients, and
-chromatic._ranked_table, which sums rank polynomials for chi.  One full
-table costs 3^n steps, an anchored one about half as many.
+Every subset convolution in the package goes through these functions.
+Three other walkers cover the lattice themselves, each with a shape of
+its own: symfunc._connected_csf, whose entries are maps from partitions
+to coefficients; chromatic._ranked_table, which sums powers of rank
+polynomials for chi; and orientations._heap_table, which builds the a and
+b tables from one heap-series division per subset and one Moebius pass.
 """
 from __future__ import annotations
 
@@ -51,28 +50,6 @@ def convolve(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
             U = (U - 1) & V
         out[V] = s
     return out
-
-
-def solve(
-    f: Sequence[int], rhs: Sequence[int], n: int, anchored: bool = False
-) -> list[int]:
-    """The table h with convolve(f, h, n) == rhs; needs f[empty] = 1.
-    With anchored, min(V) always lies in the block of h."""
-    if f[0] != 1:
-        raise ValueError("solve needs f[empty set] = 1")
-    size = 1 << n
-    h = [0] * size
-    for V in range(size):
-        rest = V ^ (V & -V) if anchored else V
-        s = rhs[V]
-        U = rest
-        while U:
-            x = f[U]
-            if x:
-                s -= x * h[V ^ U]
-            U = (U - 1) & rest
-        h[V] = s
-    return h
 
 
 def power(f: Sequence[int], k: int, n: int) -> list[int]:

@@ -167,11 +167,11 @@ def omega(X: PPoly) -> PPoly:
     )
 
 
-def _connected_csf(H: Graph) -> dict[tuple[int, ...], int]:
+def _connected_csf(H: Graph, budget: Budget) -> dict[tuple[int, ...], int]:
     """X_H of a connected graph by the walk of csf_powersum, partitions as
     ascending tuples.  X[V] first sums b[B] X[V - B] per block size
     k = |B|, then adds the part k with the sign (-1)^(k-1) of c(B)."""
-    b = unique_source_min_table(H)
+    b = unique_source_min_table(H, budget)
     X = [{(): 1}]
     for V in range(1, 1 << H.n):
         rest = V ^ (V & -V)
@@ -217,7 +217,7 @@ def csf_powersum(G: Graph, budget: Budget = DEFAULT_BUDGET) -> PPoly:
     charge("enumeration", steps, budget.enumeration_limit)
     terms: Counter[tuple[int, ...]] = Counter({(): 1})
     for mask in comps:
-        part = _connected_csf(induced_subgraph(G, mask)[0])
+        part = _connected_csf(induced_subgraph(G, mask)[0], budget)
         joined: Counter[tuple[int, ...]] = Counter()
         for lam, c in terms.items():
             for mu, d in part.items():

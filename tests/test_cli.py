@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromheap import cli
+from chromheap import cli, graphs, series
 from chromheap.chromatic import chromatic_polynomial
 from chromheap.config import Budget
 from chromheap.errors import ResourceBudgetExceeded
@@ -186,6 +186,53 @@ def test_usage_errors_exit_2(capsys, c4_file, tmp_path):
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "reciprocity", "--check", "nosuch", "--graph", c4_file)[0] == 2
     assert run_cli(capsys, "symfunc", "--check", "thm53", "--ny", "-1", "--graph", c4_file)[0] == 2
+
+
+def test_runs_share_the_parser_but_no_budget(capsys, c4_file):
+    # the parser is built by the first run and kept; the list that
+    # --budget appends to must still start empty in every run
+    tight = run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "memo_entries=1")
+    parser = cli._parser
+    plain = run_cli(capsys, "chromatic", "--graph", c4_file)
+    loose = run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "memo_entries=500000")
+    again = run_cli(capsys, "chromatic", "--graph", c4_file, "--budget", "memo_entries=1")
+    assert tight[0] == 2 and "memo exceeded 1 entries" in tight[2]
+    assert plain[0] == 0 and loose == plain and again == tight
+    assert cli._parser is parser
+    assert parser.parse_args(["chromatic"]).budget == []
+
+
+def test_usage_errors_keep_exit_code_and_stderr(capsys, c4_file, monkeypatch):
+    argvs = [
+        ["nosuchcommand"],
+        ["chromatic", "-d", "x", "--graph", c4_file],
+        ["reciprocity", "--check", "nosuch", "--graph", c4_file],
+        ["heaps", "--mode", "xml", "--graph", c4_file],
+    ]
+    kept = [run_cli(capsys, *argv) for argv in argvs]
+    again = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parser", None)  # the next run builds a new one
+    fresh = [run_cli(capsys, *argv) for argv in argvs]
+    assert kept == again == fresh
+    for code, out, err in kept:
+        assert (code, out) == (2, "") and err.startswith("usage: chromheap")
+
+
+def test_heaps_lists_only_the_independent_sets_within_the_bound(capsys, monkeypatch, tmp_path):
+    # -D 1 needs the n + 1 independent sets of at most one vertex; no 2^n
+    # table is built, so 30 isolated vertices, past the n <= 22 table cap,
+    # answer too
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a 2^n table was built")
+
+    monkeypatch.setattr(series, "independence_table", unreachable)
+    monkeypatch.setattr(graphs, "independence_table", unreachable)
+    empty = tmp_path / "e30.txt"
+    empty.write_text("30\n")
+    code, out, _ = run_cli(capsys, "heaps", "--graph", str(empty), "-D", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["identities"]["equal"] is True
+    assert [len(payload[key]) for key in ("trivial", "heap", "pyramid")] == [31, 31, 30]
 
 
 def test_resource_error_exits_2(capsys, c4_file, tmp_path):

@@ -22,6 +22,7 @@ from chromheap.graphs import (
     check_ascending_labels,
     components,
     from_edge_list,
+    independence_polynomials,
     independence_table,
     independent_sets,
     induced_subgraph,
@@ -141,6 +142,18 @@ def test_independence_table_agrees_with_definition(c4):
         vs = vset_tuple(mask)
         expected = all(not c4.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
         assert bool(table[mask]) == expected
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_independence_polynomials_count_independent_sets_by_size(g):
+    table, bits = independence_table(g), g.n + 1
+    for S, packed in enumerate(independence_polynomials(g)):
+        counts = [0] * (g.n + 1)
+        for U in range(1 << g.n):
+            if U & S == U and table[U]:
+                counts[U.bit_count()] += 1
+        assert packed == sum(c << bits * k for k, c in enumerate(counts))
 
 
 def test_ascending_relabel_orders(c4):

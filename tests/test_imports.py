@@ -138,3 +138,17 @@ def test_identity_sides_share_no_code():
     assert algebraic & grouped <= {"_IDENTITIES", "MultiPoly"}
     # identity_sides joins the two routes and is reached by neither
     assert "identity_sides" not in algebraic | grouped
+
+
+def test_orientation_tables_import_nothing_from_chromatic():
+    # the a/b tables count one side of every reciprocity check and chi the
+    # other, so orientations.py shares graph primitives with chromatic.py
+    # and no code of it
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "orientations.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "graphs" in imported
+    assert not [name for name in imported if name.split(".")[-1] == "chromatic"]

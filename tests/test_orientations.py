@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from chromheap.errors import CyclicOrientation, NotAdjacent
+from chromheap.config import Budget
+from chromheap.errors import CyclicOrientation, NotAdjacent, ResourceBudgetExceeded
 from chromheap.families import complete_graph, path_graph
-from chromheap.graphs import from_edge_list, induced_subgraph, iter_vertices, vset
+from chromheap.graphs import from_edge_list, independence_table, induced_subgraph, iter_vertices, vset
 from chromheap.orientations import (
     acyclic_count_table,
     acyclic_orientation_list,
@@ -115,6 +118,68 @@ def test_count_table_against_enumeration(g):
         h, _ = induced_subgraph(g, mask)
         assert a[mask] == len(acyclic_orientation_list(h))
     check_tables_against_enumeration(g)
+
+
+def solved_tables(g):
+    """a and b by the 3^n triangular solves over the subset lattice, with
+    t[U] = (-1)^|U| on independent U: sum over U subset of V of t[U] a[V - U]
+    is [V empty], and the same sum over U avoiding min(V), with b for a, is
+    -t[V] for nonempty V.  Only independent U are visited."""
+    independent = [U for U in range(1 << g.n) if independence_table(g)[U]]
+    a, b = [0] * (1 << g.n), [0] * (1 << g.n)
+    for V in range(1 << g.n):
+        if not V:
+            a[V] = 1
+            continue
+        low = V & -V
+        a[V] = -sum((-1) ** U.bit_count() * a[V ^ U] for U in independent if U and U & V == U)
+        b[V] = (-1) ** (V.bit_count() + 1) * (V in independent) - sum(
+            (-1) ** U.bit_count() * b[V ^ U] for U in independent if U and U & (V ^ low) == U
+        )
+    return a, b
+
+
+def _minus_edge(n):
+    return from_edge_list(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)][1:])
+
+
+def seeded_graph(n, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return from_edge_list(n, [e for e in pairs if rng.random() < rng.random()])
+
+
+TABLE_CASES = (
+    {f"G{n}-{seed}": seeded_graph(n, seed) for n in range(11) for seed in range(4)}
+    | {f"K{n}": complete_graph(n) for n in range(1, 15)}
+    | {f"K{n}-e": _minus_edge(n) for n in range(2, 15)}
+    | {f"E{n}": from_edge_list(n, []) for n in range(11)}
+)
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_tables_match_the_triangular_solve(name):
+    # K_n and K_n minus an edge carry the widest digits: n^n heaps of n pieces
+    g = TABLE_CASES[name]
+    assert (acyclic_count_table(g), unique_source_min_table(g)) == solved_tables(g)
+
+
+def test_tables_are_memoized_but_returned_fresh(c4):
+    a = acyclic_count_table(c4)
+    a[-1] = 0
+    assert acyclic_count_table(c4)[-1] == 14
+    assert unique_source_min_table(c4) is not unique_source_min_table(c4)
+
+
+def test_tables_charge_their_entries_first(c4):
+    with pytest.raises(ResourceBudgetExceeded):
+        acyclic_count_table(c4, Budget(memo_entries=15))
+    with pytest.raises(ResourceBudgetExceeded):
+        unique_source_min_table(c4, Budget(memo_entries=15))
+    assert acyclic_count_table(c4, Budget(memo_entries=16))[-1] == 14
+    # a memoized table is still refused under a smaller budget
+    with pytest.raises(ResourceBudgetExceeded):
+        acyclic_count_table(c4, Budget(memo_entries=15))
 
 
 def test_source_mask_tally_totals(c4):

@@ -1,4 +1,5 @@
-"""Subset-lattice kernel against brute-force sums over ordered block tuples."""
+"""Subset-lattice kernel, and the a/b tables, against brute-force sums
+over ordered block tuples."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from itertools import product
 
 import pytest
 
-from chromheap.subsets import convolve, identity, power, solve
+from chromheap.graphs import from_edge_list, independence_table
+from chromheap.orientations import acyclic_count_table, unique_source_min_table
+from chromheap.subsets import convolve, identity, power
 
 
 def brute_tuples(tables: list[list[int]], V: int, anchored: bool = False) -> int:
@@ -42,13 +45,18 @@ def test_convolve_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_solve_inverts_convolve(n):
+    # the a and b tables solve their defining convolutions with the signed
+    # independent sets t: t * a is the identity table, and the sum over the
+    # tuples whose b-block holds min(V) is -t off the empty set
     rng = random.Random(100 + n)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for _ in range(3):
-        f, rhs = random_table(rng, n), random_table(rng, n)
-        f[0] = 1
-        for anchored in (False, True):
-            h = solve(f, rhs, n, anchored=anchored)
-            assert [brute_tuples([f, h], V, anchored) for V in range(1 << n)] == rhs
+        g = from_edge_list(n, [e for e in pairs if rng.random() < 0.5])
+        indep = independence_table(g)
+        t = [(-1) ** U.bit_count() * indep[U] for U in range(1 << n)]
+        a, b = acyclic_count_table(g), unique_source_min_table(g)
+        assert [brute_tuples([t, a], V) for V in range(1 << n)] == identity(n)
+        assert [brute_tuples([t, b], V, True) for V in range(1 << n)] == [0] + [-x for x in t[1:]]
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -62,7 +70,5 @@ def test_power_matches_brute_force(n):
 
 
 def test_kernel_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        solve([2, 1], [1, 0], 1)
     with pytest.raises(ValueError):
         power([1, 1], -1, 1)
