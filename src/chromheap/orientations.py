@@ -20,14 +20,14 @@ Put as subset convolutions, with t[U] = (-1)^|U| for independent U and 0
 otherwise: t * a is 1 at the empty set and 0 elsewhere, and the sum over
 U subset of V - min(V) of t[U] b[V \\ U] is -t[V] for nonempty V.
 _heap_table evaluates the series in one variable per subset, one integer
-division each, and reads both tables off after one Moebius pass.
+division each, and reads both tables off after one Moebius pass
+(subsets.moebius).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_BUDGET, Budget, charge
@@ -49,6 +49,7 @@ from .graphs import (
     vset_min,
     vset_tuple,
 )
+from .subsets import moebius
 
 MAX_ENUM_EDGES = 26
 
@@ -267,32 +268,6 @@ def is_descent_free(G: Graph, o: Orientation, coloring: Sequence[int]) -> bool:
 # subset tables
 
 
-_RUN = 1 << 12  # pairs per slice in _moebius
-
-
-def _moebius(f: list[int]) -> None:
-    """The Moebius transform in place, f[V] <- sum over S subset of V of
-    (-1)^|V-S| f[S]: for each bit v in turn, f[V] -= f[V - v] for every V
-    holding v.  The pairs go one slice at a time, strided while v is low
-    and contiguous once it is high, so at most _RUN new ints are alive
-    beside f."""
-    size, half = len(f), 1
-    while half < size:
-        step = 2 * half
-        if half * half <= size:
-            span = min(size, _RUN * step)
-            for base in range(0, size, span):
-                end = base + span
-                for lo in range(base, base + half):
-                    f[lo + half:end:step] = map(sub, f[lo + half:end:step], f[lo:end:step])
-        else:
-            for lo in range(0, size, step):
-                for c in range(lo, lo + half, _RUN):
-                    end = min(c + _RUN, lo + half)
-                    f[c + half:end + half] = map(sub, f[c + half:end + half], f[c:end])
-        half = step
-
-
 @graph_cached
 def _heap_table(G: Graph, pyramids: bool) -> list[int]:
     """a (pyramids false) or b (pyramids true) over every mask V, read off
@@ -341,7 +316,7 @@ def _heap_table(G: Graph, pyramids: bool) -> list[int]:
         return (d << high if pyramids else 1 << 2 * high) // r
 
     f[:] = map({packed: divide(packed) for packed in set(f)}.__getitem__, f)
-    _moebius(f)
+    moebius(f)
     slot = (1 << w) - 1
     f[:] = [x >> w * (n - V.bit_count()) & slot for V, x in enumerate(f)]
     if pyramids:  # |V| b[V] to b[V]; the empty set has no pyramid

@@ -1,9 +1,10 @@
 """Counting interpretations of chromatic polynomials at negative arguments.
 
-Every check_* function computes one side by explicit counting (subset
-convolution over the a/b tables, or enumeration grouped by coloring) and
+Every check_* function computes one side by explicit counting (the ranked
+subset product of the a/b tables, or enumeration grouped by coloring) and
 the other side from a polynomial, then reports both numbers.  Nothing is
-asserted here; callers inspect the report.
+asserted here; callers inspect the report.  The tuple counts build only
+the tables they read: a for free blocks, b for min-sourced ones.
 
 Counting conventions.  An ordered tuple of blocks (V_1, gamma_1), ...,
 (V_k, gamma_k) always means: the V's are pairwise disjoint and cover the
@@ -53,23 +54,13 @@ from .orientations import (
     unique_source_min_table,
 )
 from .reports import ReciprocityReport
-from .subsets import convolve, identity, power
+from .subsets import ranked_entry, ranked_product
 
-DP_MAX_VERTICES = 14
+# the largest n whose tuple counts (i + j <= 5, seeded G(n, 1/2)) finish
+# within 10 s at the default budget; the bivariate polynomial stops at 16
+DP_MAX_VERTICES = 18
+BIVARIATE_MAX_VERTICES = 16
 NAIVE_MAX_VERTICES = 5
-
-
-def _block_tuples(n: int, factors: list[tuple[list[int], int]]) -> list[int]:
-    """Table of ordered tuples made of k_1 blocks counted by f_1, then k_2
-    blocks counted by f_2, and so on, for the (f, k) pairs in factors: the
-    subset convolution of the powers f^k.  Powers with k = 0 are skipped,
-    so their identity tables are never convolved."""
-    out = None
-    for f, k in factors:
-        if k:
-            p = power(f, k, n)
-            out = p if out is None else convolve(out, p, n)
-    return identity(n) if out is None else out
 
 
 def _sign(k: int) -> int:
@@ -93,14 +84,14 @@ def check_derivative_reciprocity(
     n = G.n
     if n > DP_MAX_VERTICES:
         raise TooManyVertices(f"tuple DP capped at n={DP_MAX_VERTICES}, got {n}")
-    a = acyclic_count_table(G, budget)
-    b = unique_source_min_table(G, budget)
+    a = acyclic_count_table(G, budget) if j else None
     full = G.full_mask
     strata = None
     if i == 0:
-        count = power(a, j, n)[full]
+        count = ranked_entry([(a, j)], n)
     else:
-        rest = _block_tuples(n, [(b, i - 1), (a, j)])
+        b = unique_source_min_table(G, budget)
+        rest = ranked_product([(b, i - 1), (a, j)], n)
         strata = {}
         count = 0
         for V1 in range(1 << n):
@@ -276,19 +267,19 @@ def check_clique_quotient_reciprocity(
     vertex t), then i min-sourced blocks, then j free blocks, versus
     (-1)^(n-d-i) times the i-th derivative of chi-hat_d at -j."""
     n = G.n
-    if n > 12:
-        raise TooManyVertices(f"clique quotient DP capped at n=12, got {n}")
+    if n > DP_MAX_VERTICES:
+        raise TooManyVertices(f"clique quotient DP capped at n={DP_MAX_VERTICES}, got {n}")
     if not is_clique(G, vset(range(1, d + 1))):
         raise NotAClique(f"vertices 1..{d} are not pairwise adjacent")
     if i < 0 or j < 0 or d < 0:
         raise VertexOutOfRange("d, i, j must be nonnegative")
-    a = acyclic_count_table(G, budget)
-    b = unique_source_min_table(G, budget)
+    a = acyclic_count_table(G, budget) if j else None
+    b = unique_source_min_table(G, budget) if d or i else None
     pinned = [
         ([b[V] if V >> (t - 1) & 1 else 0 for V in range(1 << n)], 1)
         for t in range(1, d + 1)
     ]
-    count = _block_tuples(n, pinned + [(b, i), (a, j)])[G.full_mask]
+    count = ranked_entry(pinned + [(b, i), (a, j)], n)
     quotient = chi_hat(G, d, budget=budget)
     poly_side = _sign(n - d - i) * quotient.derivative(i).evaluate(-j)
     return ReciprocityReport(
@@ -358,11 +349,12 @@ def check_bivariate_reciprocity(
     """Ordered tuples of j free oriented blocks followed by k bare blocks,
     versus (-1)^n chi(-j, -k) of the two-variable coloring polynomial."""
     n = G.n
-    if n > 12:
-        raise TooManyVertices(f"bivariate DP capped at n=12, got {n}")
+    if n > BIVARIATE_MAX_VERTICES:
+        raise TooManyVertices(f"bivariate DP capped at n={BIVARIATE_MAX_VERTICES}, got {n}")
     if j < 0 or k < 0:
         raise VertexOutOfRange("j and k must be nonnegative")
-    free = power(acyclic_count_table(G, budget), j, n)  # k bare blocks cover the rest in k^|rest| ways
+    a = acyclic_count_table(G, budget) if j else None
+    free = ranked_product([(a, j)], n)  # k bare blocks cover the rest in k^|rest| ways
     count = sum(c * k ** (n - T.bit_count()) for T, c in enumerate(free) if c)
     poly = bivariate_polynomial(G, budget=budget)
     poly_side = _sign(n) * poly.evaluate(-j, -k)

@@ -353,6 +353,25 @@ def test_theorem1_huge_j_exits_quickly():
     assert json.loads(proc.stdout)["equal"] is True
 
 
+@pytest.mark.parametrize("flags", [
+    ["theorem44", "-d", "1", "-i", "0", "-j", "100000000"],
+    ["bivariate", "-j", "100000000", "-k", "1"],
+])
+def test_huge_free_block_checks_exit_quickly(flags):
+    # the ranked product powers each subset's rank polynomial by truncated
+    # squaring, so 10^8 free blocks cost 26 squarings and a few products
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromheap.cli", "reciprocity", "--graph", str(root / "data" / "c4.txt"),
+         "--check", *flags],
+        capture_output=True, text=True, timeout=6, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["equal"] is True
+
+
 def test_heaps_huge_bound_exits_2_quickly(tmp_path):
     # K1 at D = 100000 has only 100001 terms, but exp(P) would multiply
     # D (D + 1) / 2 coefficient pairs; they are charged before exp starts,

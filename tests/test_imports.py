@@ -62,6 +62,37 @@ def _names_used(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _module_names(path: Path) -> set[str]:
+    """Functions, classes and globals defined at the top of a module."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _package_imports(module: str) -> dict[str, set[str]]:
+    """Names module imports from each sibling module of the package."""
+    out: dict[str, set[str]] = {}
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return out
+
+
+def _modules_reached(roots: set[str]) -> set[str]:
+    seen, todo = set(), list(roots)
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo += _package_imports(module)
+    return seen
+
+
 def test_chi_routes_share_no_code():
     # chi has three routes: deletion-contraction, subset_dp (with the
     # bivariate polynomial on the same table) and count_independent_tuples
@@ -105,6 +136,9 @@ def test_chi_routes_share_no_code():
     assert "_chrom_delcon" in delcon_route
     assert delcon_route.isdisjoint(kernel | {"_ranked_table", reduction})
     assert "power" in reached({"count_independent_tuples"})
+    # the ranked chi table and the ranked subset product are separate walks
+    subsets_names = _module_names(PACKAGE / "subsets.py")
+    assert reached({"_ranked_table"}).isdisjoint(subsets_names)
 
 
 def test_identity_sides_share_no_code():
@@ -152,3 +186,18 @@ def test_orientation_tables_import_nothing_from_chromatic():
             imported |= {alias.name for alias in node.names}
     assert "graphs" in imported
     assert not [name for name in imported if name.split(".")[-1] == "chromatic"]
+
+
+def test_reciprocity_counts_reach_no_chi_code():
+    # theorem 1 counts its block tuples from the a/b tables and the ranked
+    # subset product, and compares them with chi: the helpers of the count
+    # come from modules that reach no chromatic code, and no reciprocity
+    # check reaches the 3^n convolution
+    tree = ast.parse((PACKAGE / "reciprocity.py").read_text())
+    check = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "check_derivative_reciprocity")
+    imports, used = _package_imports("reciprocity"), _names_used(check)
+    assert {"acyclic_count_table", "unique_source_min_table"} <= imports["orientations"] & used
+    assert imports["subsets"] == {"ranked_entry", "ranked_product"} <= used
+    assert "chromatic" not in _modules_reached({"orientations", "subsets"})
+    assert not _package_imports("subsets")
+    assert "_block_tuples" not in _module_names(PACKAGE / "reciprocity.py")

@@ -3,6 +3,8 @@ cross-validation, degenerate parameter reductions."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from chromheap.chromatic import chi_hat, chromatic_polynomial
 from chromheap.errors import BadLabeling, Disconnected, NotAClique, VertexOutOfRange
 from chromheap.families import complete_graph, cycle_graph, path_graph, star_graph
 from chromheap.graphs import ascending_relabel, from_edge_list, is_connected
+from chromheap.orientations import acyclic_count_table, unique_source_min_table
 from chromheap.reciprocity import (
     check_bivariate_reciprocity,
     check_clique_quotient_reciprocity,
@@ -23,6 +26,7 @@ from chromheap.reciprocity import (
     count_block_tuples_naive,
     count_descent_free_pairs_naive,
 )
+from chromheap.subsets import convolve, power
 
 from conftest import graphs
 
@@ -46,6 +50,35 @@ def test_derivative_check_trivial_zero(c4, k1):
     for g in (c4, k1):
         r = check_derivative_reciprocity(g, 0, 0)
         assert r.count == 0 and r.poly_side == 0 and r.equal
+
+
+def _strata_by_convolution(g, i, j):
+    """Theorem-1 tuple counts by |V_1|, from 3^n subset convolutions."""
+    a, b = acyclic_count_table(g), unique_source_min_table(g)
+    rest = convolve(power(b, i - 1, g.n), power(a, j, g.n), g.n)
+    strata = {}
+    for V1 in range(1, 1 << g.n):
+        if b[V1] and rest[g.full_mask ^ V1]:
+            s = V1.bit_count()
+            strata[s] = strata.get(s, 0) + b[V1] * rest[g.full_mask ^ V1]
+    return strata
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_derivative_strata_match_the_convolution_route(n):
+    rng = random.Random(f"strata/{n}")
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for p in (0.3, 0.6):
+        g = from_edge_list(n, [e for e in pairs if rng.random() < p])
+        for i in range(5):
+            for j in range(5 - i):
+                r = check_derivative_reciprocity(g, i, j)
+                assert r.equal
+                if i:
+                    assert r.strata == _strata_by_convolution(g, i, j)
+                    assert r.count == sum(r.strata.values())
+                else:
+                    assert r.count == power(acyclic_count_table(g), j, n)[g.full_mask]
 
 
 def test_derivative_check_rejects_negative(c4):

@@ -1,5 +1,5 @@
 """Subset-lattice kernel, and the a/b tables, against brute-force sums
-over ordered block tuples."""
+over ordered block tuples; the ranked product against the 3^n kernel."""
 
 from __future__ import annotations
 
@@ -8,10 +8,20 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromheap.graphs import from_edge_list, independence_table
 from chromheap.orientations import acyclic_count_table, unique_source_min_table
-from chromheap.subsets import convolve, identity, power
+from chromheap.subsets import (
+    convolve,
+    identity,
+    moebius,
+    power,
+    ranked_entry,
+    ranked_product,
+    zeta,
+)
 
 
 def brute_tuples(tables: list[list[int]], V: int, anchored: bool = False) -> int:
@@ -72,3 +82,45 @@ def test_power_matches_brute_force(n):
 def test_kernel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         power([1, 1], -1, 1)
+    with pytest.raises(ValueError):
+        ranked_product([([1, 1], -1)], 1)
+    with pytest.raises(ValueError):
+        ranked_entry([([1, -1], 2)], 1)
+
+
+@st.composite
+def factor_lists(draw):
+    """n <= 6 and 1-4 factors (f, k) with k in 0..4; f >= 0, its empty-set
+    entry drawn apart so that both zero and nonzero ones occur."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        empty = draw(st.sampled_from((0, 1, 2)))
+        rest = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+        factors.append(([empty] + rest, draw(st.integers(min_value=0, max_value=4))))
+    return n, factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists())
+def test_ranked_product_matches_convolve_and_brute_force(case):
+    n, factors = case
+    want = identity(n)
+    for f, k in factors:
+        want = convolve(want, power(f, k, n), n)
+    assert ranked_product(factors, n) == want
+    assert ranked_entry(factors, n) == want[-1]
+    tables = [f for f, k in factors for _ in range(k)]
+    if len(tables) ** n <= 4096:
+        assert want[-1] == brute_tuples(tables, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_moebius_inverts_zeta(n):
+    rng = random.Random(300 + n)
+    f = random_table(rng, n)
+    z = list(f)
+    zeta(z)
+    assert z == [sum(f[S] for S in range(1 << n) if S & V == S) for V in range(1 << n)]
+    moebius(z)
+    assert z == f
