@@ -22,6 +22,17 @@ U subset of V - min(V) of t[U] b[V \\ U] is -t[V] for nonempty V.
 _heap_table evaluates the series in one variable per subset, one integer
 division each, and reads both tables off after one Moebius pass
 (subsets.moebius).
+
+The enumerator (_iter_acyclic_bits) keeps, for every vertex v, the
+transitively closed mask reach[v] of the vertices reachable from v, and
+hands it out with each leaf's direction bits.  The counting sides read
+their statistics straight off that closure, with no Orientation object and
+no graph search: v is a sink iff reach[v] is v alone, the non-sources are
+the union of reach[w] minus w, and source component k is reach[m] & left,
+m the least vertex not yet covered (_closure_sinks, _closure_sources,
+_closure_components).  Orientation, enumerate_acyclic, sources, sinks and
+source_components stay as the public API and the reference these are
+tested against.
 """
 from __future__ import annotations
 
@@ -82,12 +93,13 @@ def _iter_acyclic_bits(
     n: int,
     edges: Sequence[tuple[int, int]],
     forced: Iterable[tuple[int, int]] = (),
-) -> Iterator[int]:
-    """Direction bitmasks of all acyclic orientations of the free edges,
-    consistent with the forced arcs, in lexicographic direction order.
+) -> Iterator[tuple[int, list[int]]]:
+    """(direction bitmask, closure) of every acyclic orientation of the free
+    edges consistent with the forced arcs, in lexicographic direction order.
 
-    reach[v-1] is the transitively closed reachability mask of v; an arc
-    t -> h is admissible iff t is not already reachable from h.
+    reach[v-1] is the transitively closed reachability mask of v (v
+    included); an arc t -> h is admissible iff t is not already reachable
+    from h.  Each leaf's closure is its own list, never changed afterwards.
     """
     reach = [1 << i for i in range(n)]
     for t, h in forced:
@@ -104,7 +116,7 @@ def _iter_acyclic_bits(
     while stack:
         e, bits, rc = stack.pop()
         if e == m:
-            yield bits
+            yield bits, rc
             continue
         u, v = edges[e]
         for dirbit in (1, 0):
@@ -112,22 +124,54 @@ def _iter_acyclic_bits(
             ti, hi = t - 1, h - 1
             if rc[hi] >> ti & 1:
                 continue
-            nr = rc.copy()
-            rh = nr[hi]
-            tbit = 1 << ti
-            for w in range(n):
-                if nr[w] & tbit:
-                    nr[w] |= rh
+            rh, tbit = rc[hi], 1 << ti
+            nr = [r | rh if r & tbit else r for r in rc]
             stack.append((e + 1, bits | (dirbit << e), nr))
+
+
+def _leaves(G: Graph) -> Iterator[tuple[int, list[int]]]:
+    """(direction bits, closure) of every acyclic orientation of G, at most
+    MAX_ENUM_EDGES edges."""
+    if G.num_edges > MAX_ENUM_EDGES:
+        raise TooManyEdges(f"enumeration capped at {MAX_ENUM_EDGES} edges, got {G.num_edges}")
+    return _iter_acyclic_bits(G.n, G.edges)
 
 
 def enumerate_acyclic(G: Graph) -> Iterator[Orientation]:
     """Stream every acyclic orientation of G exactly once, deterministically."""
-    if G.num_edges > MAX_ENUM_EDGES:
-        raise TooManyEdges(f"enumeration capped at {MAX_ENUM_EDGES} edges, got {G.num_edges}")
     edges = G.edges
-    for bits in _iter_acyclic_bits(G.n, edges):
+    for bits, _ in _leaves(G):
         yield Orientation(edges, bits)
+
+
+def _closure_sinks(reach: Sequence[int]) -> int:
+    """Sinks of an acyclic orientation from its closure: v reaches only v."""
+    out = 0
+    for v, r in enumerate(reach):
+        if r == 1 << v:
+            out |= r
+    return out
+
+
+def _closure_sources(reach: Sequence[int], full: int) -> int:
+    """Sources of an acyclic orientation from its closure: no other vertex
+    reaches them."""
+    inner = 0
+    for v, r in enumerate(reach):
+        inner |= r & ~(1 << v)
+    return full & ~inner
+
+
+def _closure_components(reach: Sequence[int], full: int) -> tuple[int, ...]:
+    """Ordered source components (as source_components) from the closure:
+    the least vertex left and what it reaches among the vertices left."""
+    comps = []
+    left = full
+    while left:
+        comp = reach[(left & -left).bit_length() - 1] & left
+        comps.append(comp)
+        left ^= comp
+    return tuple(comps)
 
 
 @graph_cached
@@ -175,16 +219,6 @@ def is_acyclic(G: Graph, o: Orientation) -> bool:
     return seen == G.n
 
 
-def _source_components_from_out(full: int, out: Sequence[int]) -> tuple[int, ...]:
-    comps = []
-    used = 0
-    while used != full:
-        comp = reachable(out, vset_min(full & ~used)) & ~used
-        comps.append(comp)
-        used |= comp
-    return tuple(comps)
-
-
 def source_components(G: Graph, o: Orientation) -> tuple[int, ...]:
     """Ordered source components of an acyclic orientation.
 
@@ -195,7 +229,14 @@ def source_components(G: Graph, o: Orientation) -> tuple[int, ...]:
     """
     if not is_acyclic(G, o):
         raise CyclicOrientation("source components need an acyclic orientation")
-    return _source_components_from_out(G.full_mask, _out_masks(G, o))
+    out = _out_masks(G, o)
+    comps = []
+    used = 0
+    while used != G.full_mask:
+        comp = reachable(out, vset_min(G.full_mask & ~used)) & ~used
+        comps.append(comp)
+        used |= comp
+    return tuple(comps)
 
 
 def lambda_partition(components: Sequence[int]) -> tuple[int, ...]:
@@ -369,6 +410,20 @@ def subgraph_acyclic_count(G: Graph, mask: int) -> int:
     return sum(1 for _ in _iter_acyclic_bits(H.n, H.edges))
 
 
+class AcyclicCounts(dict):
+    """Class mask -> subgraph_acyclic_count(G, mask), filled on first use:
+    a coloring walk's local memo, so that a repeated class costs one dict
+    lookup and not a call through graph_cached."""
+
+    def __init__(self, G: Graph):
+        super().__init__({0: 1})
+        self.graph = G
+
+    def __missing__(self, mask: int) -> int:
+        self[mask] = count = subgraph_acyclic_count(self.graph, mask)
+        return count
+
+
 def subgraph_unique_source_count(G: Graph, mask: int, source: int) -> int:
     """Enumerated acyclic orientations of G[mask] with unique source `source`."""
     return dict(subgraph_source_mask_tally(G, mask)).get(1 << (source - 1), 0)
@@ -398,13 +453,12 @@ def subgraph_source_mask_tally(G: Graph, mask: int) -> tuple[tuple[int, int], ..
     if mask == 0:
         return ((0, 1),)
     H, labels = induced_subgraph(G, mask)
-    tally: Counter[int] = Counter()
-    for o in enumerate_acyclic(H):
-        smask = 0
-        for v in iter_vertices(sources(H, o)):
-            smask |= 1 << (labels[v - 1] - 1)
-        tally[smask] += 1
-    return tuple(sorted(tally.items()))
+    full = H.full_mask
+    tally = Counter(_closure_sources(reach, full) for _, reach in _leaves(H))
+    relabeled = {}
+    for smask, count in tally.items():
+        relabeled[sum(1 << (labels[v - 1] - 1) for v in iter_vertices(smask))] = count
+    return tuple(sorted(relabeled.items()))
 
 
 @graph_cached
@@ -413,10 +467,27 @@ def subgraph_lambda_tally(G: Graph, mask: int) -> tuple[tuple[tuple[int, ...], i
     if mask == 0:
         return (((), 1),)
     H, _ = induced_subgraph(G, mask)
-    tally: Counter[tuple[int, ...]] = Counter()
-    for o in enumerate_acyclic(H):
-        comps = _source_components_from_out(H.full_mask, _out_masks(H, o))
-        tally[lambda_partition(comps)] += 1
+    full = H.full_mask
+    tally = Counter(
+        lambda_partition(_closure_components(reach, full)) for _, reach in _leaves(H)
+    )
+    return tuple(sorted(tally.items()))
+
+
+@graph_cached
+def sink_rooted_histogram(G: Graph, d: int) -> tuple[tuple[int, int], ...]:
+    """Histogram (source component count -> orientations) over the acyclic
+    orientations of G whose unique sink is vertex 1 and whose source
+    components each hold at most one of the vertices 1..d: one walk serves
+    every component count."""
+    full, pinned = G.full_mask, (1 << d) - 1
+    tally: Counter[int] = Counter()
+    for _, reach in _leaves(G):
+        if _closure_sinks(reach) != 1:  # vertex 1 alone
+            continue
+        comps = _closure_components(reach, full)
+        if all((comp & pinned).bit_count() <= 1 for comp in comps):
+            tally[len(comps)] += 1
     return tuple(sorted(tally.items()))
 
 

@@ -6,7 +6,7 @@ rounds.  Coefficient order is constant term first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalInvariantViolation, VertexOutOfRange
 
@@ -130,25 +130,18 @@ class Poly:
         return acc
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; any remainder is an internal error."""
+        """Exact polynomial division; any remainder is an internal error.
+
+        Integer polynomials over a divisor led by +-1 (a falling factorial,
+        say) divide in ints; anything else goes through Fraction."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
+        lead = divisor.coeffs[-1]
+        if lead in (1, -1) and all(type(c) is int for c in self.coeffs + divisor.coeffs):
+            # 1 / lead is lead itself
+            return Poly(_long_divide(list(self.coeffs), divisor.coeffs, lambda c: c * lead))
         d = [Fraction(c) for c in divisor.coeffs]
-        lead = d[-1]
-        qdeg = len(rem) - len(d)
-        if qdeg < 0:
-            if any(rem):
-                raise InternalInvariantViolation("division left a remainder")
-            return Poly.zero()
-        out = [Fraction(0)] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            factor = rem[k + len(d) - 1] / lead
-            out[k] = factor
-            for i, dc in enumerate(d):
-                rem[k + i] -= factor * dc
-        if any(rem):
-            raise InternalInvariantViolation("division left a remainder")
+        out = _long_divide([Fraction(c) for c in self.coeffs], d, lambda c: c / d[-1])
         quotient = Poly(out)
         return quotient.to_int_coeffs() if quotient.is_integral() else quotient
 
@@ -190,6 +183,21 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
+
+
+def _long_divide(rem: list, d: Sequence, over_lead: Callable) -> list:
+    """Quotient of the coefficients rem by d, over_lead dividing by d's
+    leading coefficient; rem is left holding the remainder, which must be
+    zero."""
+    qdeg = len(rem) - len(d)
+    out = [0] * max(qdeg + 1, 0)
+    for k in range(qdeg, -1, -1):
+        factor = out[k] = over_lead(rem[k + len(d) - 1])
+        for i, dc in enumerate(d):
+            rem[k + i] -= factor * dc
+    if any(rem):
+        raise InternalInvariantViolation("division left a remainder")
+    return out
 
 
 def _num_str(c) -> str:

@@ -41,15 +41,12 @@ from .graphs import (
     vset,
 )
 from .orientations import (
-    _out_masks,
-    _source_components_from_out,
+    AcyclicCounts,
     acyclic_count_table,
-    acyclic_orientation_list,
     enumerate_acyclic,
     is_descent_free,
-    sinks,
+    sink_rooted_histogram,
     sources,
-    subgraph_acyclic_count,
     subgraph_component_histogram,
     unique_source_min_table,
 )
@@ -172,12 +169,12 @@ def check_stanley_reciprocity(
         raise VertexOutOfRange("j must be nonnegative")
     if j > 5:
         raise ResourceBudgetExceeded("direct pair enumeration capped at j <= 5")
+    acyclic = AcyclicCounts(G)
     count = 0
     for classes in enumerate_colorings(G, j, 0, budget=budget):
         prod = 1
         for mask in classes:
-            if mask:
-                prod *= subgraph_acyclic_count(G, mask)
+            prod *= acyclic[mask]
         count += prod
     chi = chromatic_polynomial(G, budget=budget)
     poly_side = _sign(G.n) * chi.evaluate(-j)
@@ -234,6 +231,7 @@ def check_shifted_reciprocity(
         raise TooManyEdges("shifted pair count capped at 16 edges")
     if i < 0 or j < 0:
         raise VertexOutOfRange("i and j must be nonnegative")
+    acyclic = AcyclicCounts(G)
     count = 0
     with_i: dict[int, int] = {}  # lowest class mask -> orientations with i components
     for classes in enumerate_colorings(G, j + 1, 0, budget=budget):
@@ -241,10 +239,10 @@ def check_shifted_reciprocity(
         prod = with_i.get(low)
         if prod is None:
             prod = with_i[low] = dict(subgraph_component_histogram(G, low)).get(i, 0)
-        for mask in classes[1:]:
-            if mask and prod:
-                prod *= subgraph_acyclic_count(G, mask)
-        count += prod
+        if prod:
+            for mask in classes[1:]:
+                prod *= acyclic[mask]
+            count += prod
     chi = chromatic_polynomial(G, budget=budget)
     poly_side = _sign(G.n - i) * chi.shift(-j).coefficient(i)
     return ReciprocityReport(
@@ -310,24 +308,7 @@ def check_sink_rooted(
     if d < 1:
         raise VertexOutOfRange("d must be at least 1")
     n = G.n
-    count = 0
-    for o in acyclic_orientation_list(G):
-        if sinks(G, o) != 1:  # vertex 1 alone
-            continue
-        comps = _source_components_from_out(G.full_mask, _out_masks(G, o))
-        if len(comps) != d + i:
-            continue
-        holders = set()
-        ok = True
-        for t in range(1, d + 1):
-            for k, comp in enumerate(comps):
-                if comp >> (t - 1) & 1:
-                    if k in holders:
-                        ok = False
-                    holders.add(k)
-                    break
-        if ok:
-            count += 1
+    count = dict(sink_rooted_histogram(G, d)).get(d + i, 0)
     quotient = chi_hat(G, d, budget=budget)
     poly_side = _sign(n - d - i) * quotient.shift(1).coefficient(i)
     return ReciprocityReport(

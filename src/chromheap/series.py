@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, TooManyVertices, VertexOutOfRange
 from .graphs import Graph, blowup, blowup_types, independence_table, iter_vertices, vset, vset_tuple
-from .orientations import _iter_acyclic_bits, subgraph_source_mask_tally
+from .orientations import _closure_sources, _iter_acyclic_bits, subgraph_source_mask_tally
 from .reports import IdentityReport
 from .subsets import convolve
 
@@ -425,12 +425,8 @@ def _iter_heap_source_masks(G: Graph, m: Sequence[int]):
     # copies of one vertex are stacked lower below higher; other edges are free
     forced = tuple((u, v) for u, v in B.edges if types[u - 1] == types[v - 1])
     free = tuple((u, v) for u, v in B.edges if types[u - 1] != types[v - 1])
-    forced_in = sum({1 << (h - 1) for _, h in forced})
-    for bits in _iter_acyclic_bits(B.n, free, forced):
-        in_mask = forced_in
-        for e, (u, v) in enumerate(free):
-            in_mask |= 1 << ((u if bits >> e & 1 else v) - 1)
-        yield B.full_mask & ~in_mask, types
+    for _, reach in _iter_acyclic_bits(B.n, free, forced):
+        yield _closure_sources(reach, B.full_mask), types
 
 
 def direct_heap_count(G: Graph, m: Sequence[int]) -> int:

@@ -36,6 +36,7 @@ from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded, VertexOutOfRange
 from .graphs import Graph, blowup, components, graph_cached, induced_subgraph
 from .orientations import (
+    AcyclicCounts,
     Orientation,
     acyclic_orientation_list,
     is_descent_free,
@@ -43,7 +44,6 @@ from .orientations import (
     lambda_partition,
     restrict_orientation,
     source_components,
-    subgraph_acyclic_count,
     subgraph_lambda_tally,
     unique_source_min_table,
 )
@@ -210,20 +210,27 @@ def csf_powersum(G: Graph, budget: Budget = DEFAULT_BUDGET) -> PPoly:
         X[V] = sum over U subset of V - min V of c(V - U) p_|V-U| X[U],
 
     run per connected component and joined, since X is multiplicative.
-    Its sum over components of (3^n_c - 1)/2 steps is charged first.
+    Its sum over components of (3^n_c - 1)/2 steps is charged on every
+    call; the terms are then memoized on G (with the budget, as its table
+    charges depend on it), and each call returns a fresh PPoly.
     """
-    comps = components(G)
-    steps = sum((3 ** mask.bit_count() - 1) // 2 for mask in comps)
+    steps = sum((3 ** mask.bit_count() - 1) // 2 for mask in components(G))
     charge("enumeration", steps, budget.enumeration_limit)
+    return PPoly(_csf_terms(G, budget))
+
+
+@graph_cached
+def _csf_terms(G: Graph, budget: Budget) -> dict[tuple[int, ...], int]:
+    """The terms of csf_powersum: X of each component, joined."""
     terms: Counter[tuple[int, ...]] = Counter({(): 1})
-    for mask in comps:
+    for mask in components(G):
         part = _connected_csf(induced_subgraph(G, mask)[0], budget)
         joined: Counter[tuple[int, ...]] = Counter()
         for lam, c in terms.items():
             for mu, d in part.items():
                 joined[tuple(sorted(lam + mu))] += c * d
         terms = joined
-    return PPoly({lam[::-1]: c for lam, c in terms.items()})
+    return {lam[::-1]: c for lam, c in terms.items()}
 
 
 def specialize_p_to_q(X: PPoly) -> Poly:
@@ -564,16 +571,22 @@ def _grouped_side(G: Graph, identity: str, *sizes: int, budget: Budget) -> Multi
     """
     nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
     first_z = ny + (zero is not None)
-    one = MultiPoly.constant(nvars)
+    y_shifts = range(0, MultiPoly.WIDTH * ny, MultiPoly.WIDTH)
+    z_shifts = range(MultiPoly.WIDTH * z, MultiPoly.WIDTH * (z + nz), MultiPoly.WIDTH)
+    acyclic = AcyclicCounts(G)
     acc: dict[int, object] = {}
     for classes in enumerate_colorings(G, first_z + nz, ny, budget=budget):
-        key = MultiPoly.pack([m.bit_count() for m in classes[:ny]])
-        key += MultiPoly.pack([m.bit_count() for m in classes[first_z:]], z)
+        key = 0
+        for mask, shift in zip(classes, y_shifts):
+            key += mask.bit_count() << shift
         w = 1
-        for mask in classes[first_z:]:
-            w *= subgraph_acyclic_count(G, mask)
-        weight = one if zero is None else _lambda_weight(G, classes[ny], nvars, *zero)
-        _add_shifted(acc, weight, key, w)
+        for mask, shift in zip(classes[first_z:], z_shifts):
+            key += mask.bit_count() << shift
+            w *= acyclic[mask]
+        if zero is None:  # weights are positive, so no sum cancels
+            acc[key] = acc.get(key, 0) + w
+            continue
+        _add_shifted(acc, _lambda_weight(G, classes[ny], nvars, *zero), key, w)
     return MultiPoly._of(nvars, acc, G.n)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from chromheap.chromatic import (
     multicolor_polynomial,
 )
 from chromheap.config import Budget
-from chromheap.errors import NotAClique, ResourceBudgetExceeded, VertexOutOfRange
+from chromheap.errors import InternalInvariantViolation, NotAClique, ResourceBudgetExceeded, VertexOutOfRange
 from chromheap.families import (
     complete_graph,
     cycle_graph,
@@ -83,6 +84,33 @@ def test_chi_hat_reconstructs_chi(k3):
     chi = chromatic_polynomial(k3)
     rebuilt = quot * Poly((0, 1)) * Poly((-1, 1))
     assert rebuilt == chi
+
+
+def test_divide_exact_in_ints_over_a_unit_lead():
+    # a divisor led by +-1 divides integer polynomials in ints
+    rng = random.Random(31)
+    for _ in range(20):
+        quotient = Poly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 5))))
+        k = rng.randint(0, 4)
+        for divisor in (Poly.falling_factorial(k), -Poly.falling_factorial(k)):
+            got = (quotient * divisor).divide_exact(divisor)
+            assert got == quotient and all(type(c) is int for c in got.coeffs)
+    with pytest.raises(InternalInvariantViolation):
+        Poly((1, 0, 1)).divide_exact(Poly((0, 1)))
+
+
+def test_divide_exact_over_a_non_unit_lead_uses_fractions():
+    # 2q + 2 is not led by +-1: (q + 1) / (2q + 2) = 1/2 needs Fraction
+    half = Poly((1, 1)).divide_exact(Poly((2, 2)))
+    assert half == Poly((Fraction(1, 2),)) and type(half.coeffs[0]) is Fraction
+    # an integral quotient still comes back in ints: (6q^2 + 5q + 1) / (2q + 1)
+    got = Poly((1, 5, 6)).divide_exact(Poly((1, 2)))
+    assert got == Poly((1, 3)) and all(type(c) is int for c in got.coeffs)
+    # Fraction coefficients take the Fraction path whatever the lead
+    got = Poly((Fraction(1, 2), Fraction(1, 2))).divide_exact(Poly((1, 1)))
+    assert got == Poly((Fraction(1, 2),))
+    with pytest.raises(InternalInvariantViolation):
+        Poly((1, 1)).divide_exact(Poly((0, 2)))
 
 
 @given(graphs(max_n=6), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))

@@ -12,6 +12,10 @@ from chromheap.errors import CyclicOrientation, NotAdjacent, ResourceBudgetExcee
 from chromheap.families import complete_graph, path_graph
 from chromheap.graphs import from_edge_list, independence_table, induced_subgraph, iter_vertices, vset
 from chromheap.orientations import (
+    _closure_components,
+    _closure_sinks,
+    _closure_sources,
+    _iter_acyclic_bits,
     acyclic_count_table,
     acyclic_orientation_list,
     assemble_orientation,
@@ -259,3 +263,21 @@ def test_single_vertex_and_empty_edge_cases():
     e2 = from_edge_list(2, [])
     (free,) = acyclic_orientation_list(e2)
     assert lambda_partition(source_components(e2, free)) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_closure_statistics_match_the_orientation_reference(seed):
+    # each enumerator leaf carries its reachability closure; the source
+    # components, sinks and sources read off it equal the graph-search
+    # reference on the matching orientation of acyclic_orientation_list
+    rng = random.Random(700 + seed)
+    n = rng.randint(0, 7)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    g = from_edge_list(n, rng.sample(pairs, min(len(pairs), rng.randint(0, 12))))
+    leaves = list(_iter_acyclic_bits(g.n, g.edges))
+    orientations = acyclic_orientation_list(g)
+    assert [bits for bits, _ in leaves] == [o.bits for o in orientations]
+    for (_, reach), o in zip(leaves, orientations):
+        assert _closure_components(reach, g.full_mask) == source_components(g, o)
+        assert _closure_sinks(reach) == sinks(g, o)
+        assert _closure_sources(reach, g.full_mask) == sources(g, o)

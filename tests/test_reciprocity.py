@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 from chromheap.chromatic import chi_hat, chromatic_polynomial
 from chromheap.errors import BadLabeling, Disconnected, NotAClique, VertexOutOfRange
 from chromheap.families import complete_graph, cycle_graph, path_graph, star_graph
-from chromheap.graphs import ascending_relabel, from_edge_list, is_connected
-from chromheap.orientations import acyclic_count_table, unique_source_min_table
+from chromheap.graphs import ascending_relabel, from_edge_list, is_clique, is_connected, vset
+from chromheap.orientations import (
+    acyclic_count_table,
+    acyclic_orientation_list,
+    sinks,
+    source_components,
+    unique_source_min_table,
+)
 from chromheap.reciprocity import (
     check_bivariate_reciprocity,
     check_clique_quotient_reciprocity,
@@ -192,6 +198,51 @@ def test_sink_rooted_relabeling_invariance(g, d, i):
         assert r.equal
         counts.append(r.count)
     assert counts[0] == counts[1]
+
+
+def _sink_rooted_by_filter(g, d, i):
+    # the literal filter over the orientation list that check_sink_rooted
+    # ran before its one-walk histogram
+    count = 0
+    for o in acyclic_orientation_list(g):
+        if sinks(g, o) != 1:  # vertex 1 alone
+            continue
+        comps = source_components(g, o)
+        if len(comps) != d + i:
+            continue
+        holders = set()
+        ok = True
+        for t in range(1, d + 1):
+            for k, comp in enumerate(comps):
+                if comp >> (t - 1) & 1:
+                    if k in holders:
+                        ok = False
+                    holders.add(k)
+                    break
+        if ok:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sink_rooted_histogram_matches_literal_filter(seed):
+    # vertex 1, the unique sink, is a source component by itself, so the
+    # distinct-components condition first bites at d = 3; odd seeds give
+    # vertices 1, 2, 3 a triangle and keep them in the relabelling
+    rng = random.Random(900 + seed)
+    n = rng.randint(3 if seed % 2 else 1, 7)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = {e for e in pairs if rng.random() < 0.5} | {(v - 1, v) for v in range(2, n + 1)}
+    prefix = 3 if seed % 2 else 0
+    if prefix:
+        edges |= {(1, 2), (1, 3), (2, 3)}
+    g = from_edge_list(n, sorted(edges))
+    h, _ = ascending_relabel(g, clique_prefix=prefix, strategy=rng.choice(["min", "max"]))
+    for d in (1, 2, 3):
+        if d > n or not is_clique(h, vset(range(1, d + 1))):
+            continue
+        for i in range(4):
+            assert check_sink_rooted(h, d, i).count == _sink_rooted_by_filter(h, d, i)
 
 
 def test_bivariate_check_c4(c4):

@@ -54,7 +54,7 @@ def test_convolve_matches_brute_force(n):
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_solve_inverts_convolve(n):
+def test_tables_satisfy_their_defining_convolutions(n):
     # the a and b tables solve their defining convolutions with the signed
     # independent sets t: t * a is the identity table, and the sum over the
     # tuples whose b-block holds min(V) is -t off the empty set

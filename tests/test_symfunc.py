@@ -167,6 +167,25 @@ def test_connected_block_budget_is_charged_first():
         csf_powersum(g, DEFAULT_BUDGET.with_overrides(enumeration_limit=13))
 
 
+def test_csf_powersum_charges_every_call_and_returns_fresh_copies():
+    # X_G is memoized on the graph, but its steps are charged on every
+    # call, and no caller can change what the next call returns
+    g = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
+    steps = (3**5 - 1) // 2
+    first = csf_powersum(g)
+    with pytest.raises(ResourceBudgetExceeded):
+        csf_powersum(g, DEFAULT_BUDGET.with_overrides(enumeration_limit=steps - 1))
+    assert csf_powersum(g, DEFAULT_BUDGET.with_overrides(enumeration_limit=steps)) == first
+    want = dict(first.terms)
+    lam = next(iter(first.terms))
+    first.terms[lam] += 1
+    first.terms[(5,)] = 7
+    second = csf_powersum(g)
+    assert second is not first and second.terms == want
+    second.terms.clear()
+    assert csf_powersum(g).terms == want
+
+
 def _ppoly_product(*factors: PPoly) -> PPoly:
     out: Counter = Counter({(): 1})
     for f in factors:
