@@ -3,10 +3,11 @@
 chi has three routes that share no code: deletion-contraction memoized on
 a canonical lower-triangular adjacency encoding; "subset_dp", ranked
 inclusion-exclusion whose table also gives the two-variable polynomial;
-and count_independent_tuples, a power of the independence table under the
-subset kernel.  The default, "auto", peels components and leaves off and
-hands each 2-core to one of the first two.  Brute-force coloring counters
-(one backtracking enumerator) check all three.  All arithmetic is exact.
+and count_independent_tuples, a power of the independence table by the
+ranked subset product of subsets.py.  The default, "auto", peels
+components and leaves off and hands each 2-core to one of the first two.
+Brute-force coloring counters (one backtracking enumerator) check all
+three.  All arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .graphs import (
     independence_table, induced_subgraph, is_clique, iter_vertices, table_entries, vset,
 )
 from .polynomials import BivariatePoly, Poly
-from .subsets import power
+from .subsets import ranked_entry
 
 DELCON_MAX_VERTICES = 30
 
@@ -268,12 +269,13 @@ def count_independent_tuples(G: Graph, q: int) -> int:
     """Ordered q-tuples of pairwise disjoint independent sets covering V.
 
     Equals the chromatic polynomial at q.  It is the q-th subset-convolution
-    power of the independence table, an oracle that shares no code with
-    deletion-contraction or subset_dp.
+    power of the independence table at the full set (subsets.ranked_entry),
+    an oracle that shares only graph primitives with deletion-contraction
+    and subset_dp.
     """
     if q < 0:
         raise VertexOutOfRange("color count must be nonnegative")
-    return power(list(independence_table(G)), q, G.n)[G.full_mask]
+    return ranked_entry([(independence_table(G), q)], G.n)
 
 
 def chi_hat(G: Graph, d: int, budget: Budget = DEFAULT_BUDGET) -> Poly:

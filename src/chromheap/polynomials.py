@@ -5,6 +5,7 @@ rounds.  Coefficient order is constant term first.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -109,10 +110,7 @@ class Poly:
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
             raise VertexOutOfRange(f"derivative order d must be nonnegative, got {order}")
-        p = self
-        for _ in range(order):
-            p = Poly(tuple(k * c for k, c in enumerate(p.coeffs))[1:])
-        return p
+        return Poly(tuple(math.perm(k, order) * c for k, c in enumerate(self.coeffs))[order:])
 
     def evaluate(self, x):
         """Exact Horner evaluation at an int or Fraction."""

@@ -50,7 +50,7 @@ from .errors import InternalInvariantViolation, TooManyVertices, VertexOutOfRang
 from .graphs import Graph, blowup, blowup_types, independence_table, iter_vertices, vset, vset_tuple
 from .orientations import _closure_sources, _iter_acyclic_bits, subgraph_source_mask_tally
 from .reports import IdentityReport
-from .subsets import convolve
+from .subsets import zeta
 
 MAX_HEAP_PIECES = 10
 
@@ -534,8 +534,10 @@ def check_heap_identities(
     Always: H * T(-x) = 1, and exp(P) = H with exp rebuilding H from theta P
     alone, so the comparison crosses the inversion and log routes.  For
     n <= 5, [x^V]H_S must count the acyclic orientations of G[V] with all
-    sources in S, for all S and V; as only squarefree terms reach x^V, that
-    part of H_S = T_{S-bar}(-x) H is one subset convolution per S.
+    sources in S, for all S and V.  Only squarefree terms reach x^V, so
+    [x^V]H_S = sum over U subset of V - S of t[U] [x^(V-U)]H, with t[U] =
+    (-1)^|U| for independent U and 0 otherwise: one zeta transform per V
+    of U -> t[U] [x^(V-U)]H, read at V - S for every S.
     """
     bound = trivial.bound
     f = trivial.substitute_neg()._slices
@@ -559,12 +561,14 @@ def check_heap_identities(
         hv = [H.coefficient_of_set(W) for W in range(1 << G.n)]
         indep = independence_table(G)
         signed = [(-1) ** U.bit_count() * indep[U] for U in range(1 << G.n)]
+        shadows = {}
+        for V in vsets:
+            shadows[V] = [t * hv[V ^ U] if U & V == U else 0 for U, t in enumerate(signed)]
+            zeta(shadows[V])
         for smask in range(1 << G.n):
-            numerator = [0 if U & smask else t for U, t in enumerate(signed)]
-            h_s = convolve(numerator, hv, G.n)
             for V in vsets:
                 want = sum(c for src, c in tallies[V] if src & ~smask == 0)
-                if h_s[V] != want:
+                if shadows[V][V & ~smask] != want:
                     failures.append(
                         f"[x^V]H_S != source-confined count for "
                         f"S={vset_tuple(smask)}, V={vset_tuple(V)}"

@@ -8,17 +8,16 @@ two tables is the subset convolution
 so a k-fold product counts ordered k-tuples of pairwise disjoint blocks
 covering V, each block weighted by its own table.
 
-Two algorithms compute it.  convolve and power walk every (V, U) pair,
-3^n steps a product.  ranked_product and ranked_entry take a whole
-product of powers of nonnegative tables at once, by ranked zeta and
-Moebius transforms over packed integers (Bjorklund, Husfeldt, Kaski,
-Koivisto, Fourier meets Moebius: fast subset convolution, 2007): about
-n 2^n big-int additions and log k products per subset.  The reciprocity
-checks count their block tuples with the second; count_independent_tuples
-and the small heap-series check keep the first as a separate algorithm.
+ranked_product and ranked_entry take a whole product of powers of
+nonnegative tables at once, by ranked zeta and Moebius transforms over
+packed integers (Bjorklund, Husfeldt, Kaski, Koivisto, Fourier meets
+Moebius: fast subset convolution, 2007): about n 2^n big-int additions
+and log k products per subset.  The reciprocity checks count their block
+tuples with it, and chromatic.count_independent_tuples its colorings.
 
-zeta and moebius are the one lattice walk that both the ranked product
-and orientations._heap_table run.  Two other walkers cover the lattice
+zeta and moebius are the one lattice walk that the ranked product,
+orientations._heap_table and the small heap-series check in
+series.check_heap_identities run.  Two other walkers cover the lattice
 themselves, each with a shape of its own: symfunc._connected_csf, whose
 entries are maps from partitions to coefficients, and
 chromatic._ranked_table, which sums powers of rank polynomials for chi.
@@ -30,53 +29,6 @@ from operator import add, lshift, sub
 from typing import Callable, Iterator, Sequence
 
 _RUN = 1 << 12  # pairs per slice in _walk
-
-
-def identity(n: int) -> list[int]:
-    """The unit of the product: 1 at the empty set, 0 elsewhere."""
-    out = [0] * (1 << n)
-    out[0] = 1
-    return out
-
-
-def convolve(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
-    """h[V] = sum over U subset of V of f[U] g[V \\ U]."""
-    if f.count(0) > g.count(0):
-        # the product is symmetric: look up the sparser table first, so
-        # that its zeros skip the second lookup
-        f, g = g, f
-    size = 1 << n
-    out = [0] * size
-    for V in range(size):
-        s = 0
-        U = V
-        while True:
-            y = g[V ^ U]
-            if y:
-                x = f[U]
-                if x:
-                    s += x * y
-            if not U:
-                break
-            U = (U - 1) & V
-        out[V] = s
-    return out
-
-
-def power(f: Sequence[int], k: int, n: int) -> list[int]:
-    """k-fold product of f by repeated squaring; k = 0 gives the identity
-    table (1 at the empty set), and no product involves it."""
-    if k < 0:
-        raise ValueError(f"power needs k >= 0, got {k}")
-    result = None
-    base = list(f)
-    while k:
-        if k & 1:
-            result = base if result is None else convolve(result, base, n)
-        k >>= 1
-        if k:
-            base = convolve(base, base, n)
-    return identity(n) if result is None else result
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +180,7 @@ def ranked_product(factors: Sequence[tuple[Sequence[int], int]], n: int) -> list
     _ranked leaves the product at V in slot |V|."""
     factors = _factors(factors)
     if not factors:
-        return identity(n)
+        return [1] + [0] * ((1 << n) - 1)
     if len(factors) == 1 and factors[0][1] == 1:
         return list(factors[0][0])
     p, shifts, w = _ranked(factors, n)

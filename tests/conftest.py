@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -70,3 +71,55 @@ def rational_series(draw, max_vars: int = 3, max_bound: int = 4) -> TruncatedSer
     raw = draw(st.dictionaries(exps, coeff, max_size=8))
     terms = {e: c for e, c in raw.items() if sum(e) <= bound}
     return TruncatedSeries(nvars, bound, terms)
+
+
+# The 3^n subset convolution, kept as the reference that the ranked
+# product (chromheap.subsets) and the theorem-1 strata are checked against.
+
+
+def identity(n: int) -> list[int]:
+    """The unit of the product: 1 at the empty set, 0 elsewhere."""
+    out = [0] * (1 << n)
+    out[0] = 1
+    return out
+
+
+def convolve(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
+    """h[V] = sum over U subset of V of f[U] g[V \\ U], walking every
+    (V, U) pair."""
+    if f.count(0) > g.count(0):
+        # the product is symmetric: look up the sparser table first, so
+        # that its zeros skip the second lookup
+        f, g = g, f
+    size = 1 << n
+    out = [0] * size
+    for V in range(size):
+        s = 0
+        U = V
+        while True:
+            y = g[V ^ U]
+            if y:
+                x = f[U]
+                if x:
+                    s += x * y
+            if not U:
+                break
+            U = (U - 1) & V
+        out[V] = s
+    return out
+
+
+def power(f: Sequence[int], k: int, n: int) -> list[int]:
+    """k-fold product of f by repeated squaring; k = 0 gives the identity
+    table."""
+    if k < 0:
+        raise ValueError(f"power needs k >= 0, got {k}")
+    result = None
+    base = list(f)
+    while k:
+        if k & 1:
+            result = base if result is None else convolve(result, base, n)
+        k >>= 1
+        if k:
+            base = convolve(base, base, n)
+    return identity(n) if result is None else result

@@ -356,10 +356,13 @@ def test_theorem1_huge_j_exits_quickly():
 @pytest.mark.parametrize("flags", [
     ["theorem44", "-d", "1", "-i", "0", "-j", "100000000"],
     ["bivariate", "-j", "100000000", "-k", "1"],
+    ["theorem1", "-i", "100000000", "-j", "0"],
+    ["theorem44", "-d", "1", "-i", "100000000", "-j", "0"],
 ])
 def test_huge_free_block_checks_exit_quickly(flags):
     # the ranked product powers each subset's rank polynomial by truncated
-    # squaring, so 10^8 free blocks cost 26 squarings and a few products
+    # squaring, so 10^8 free blocks cost 26 squarings and a few products;
+    # the i-th derivative of chi is one pass over its coefficients
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -370,6 +373,22 @@ def test_huge_free_block_checks_exit_quickly(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["equal"] is True
+
+
+def test_huge_derivative_order_exits_quickly():
+    # every coefficient of chi vanishes under the 10^8-th derivative, which
+    # is one pass over the coefficients and not 10^8 of them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromheap.cli", "chromatic", "--graph", str(root / "data" / "c4.txt"),
+         "-d", "100000000", "-q", "1"],
+        capture_output=True, text=True, timeout=6, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["derivative"]["coeffs"] == [] and out["evaluation"]["value"] == "0"
 
 
 def test_heaps_huge_bound_exits_2_quickly(tmp_path):

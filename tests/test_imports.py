@@ -96,7 +96,7 @@ def _modules_reached(roots: set[str]) -> set[str]:
 def test_chi_routes_share_no_code():
     # chi has three routes: deletion-contraction, subset_dp (with the
     # bivariate polynomial on the same table) and count_independent_tuples
-    # on the subset kernel.  Each route's functions, followed through
+    # by the ranked subset product.  Each route's functions, followed through
     # chromatic.py, reach neither of the other two.  "auto" reduces the
     # graph and then calls the first two; no route reaches the reduction.
     tree = ast.parse((PACKAGE / "chromatic.py").read_text())
@@ -135,10 +135,14 @@ def test_chi_routes_share_no_code():
     delcon_route = reached(branch("deletion_contraction") | {"_chrom_delcon"})
     assert "_chrom_delcon" in delcon_route
     assert delcon_route.isdisjoint(kernel | {"_ranked_table", reduction})
-    assert "power" in reached({"count_independent_tuples"})
-    # the ranked chi table and the ranked subset product are separate walks
+    tuples_route = reached({"count_independent_tuples"})
+    assert "ranked_entry" in tuples_route
+    assert tuples_route.isdisjoint({"_ranked_table", "independence_polynomials", "_chrom_delcon", reduction})
+    # the ranked chi table and the ranked subset product are separate walks,
+    # and the product is the one subset convolution the package has
     subsets_names = _module_names(PACKAGE / "subsets.py")
     assert reached({"_ranked_table"}).isdisjoint(subsets_names)
+    assert subsets_names.isdisjoint({"convolve", "power", "identity"})
 
 
 def test_identity_sides_share_no_code():
@@ -191,8 +195,8 @@ def test_orientation_tables_import_nothing_from_chromatic():
 def test_reciprocity_counts_reach_no_chi_code():
     # theorem 1 counts its block tuples from the a/b tables and the ranked
     # subset product, and compares them with chi: the helpers of the count
-    # come from modules that reach no chromatic code, and no reciprocity
-    # check reaches the 3^n convolution
+    # come from modules that reach no chromatic code, and subsets.py imports
+    # nothing of the package
     tree = ast.parse((PACKAGE / "reciprocity.py").read_text())
     check = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "check_derivative_reciprocity")
     imports, used = _package_imports("reciprocity"), _names_used(check)

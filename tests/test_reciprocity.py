@@ -32,9 +32,7 @@ from chromheap.reciprocity import (
     count_block_tuples_naive,
     count_descent_free_pairs_naive,
 )
-from chromheap.subsets import convolve, power
-
-from conftest import graphs
+from conftest import convolve, graphs, power
 
 
 def test_derivative_check_c4(c4):

@@ -250,6 +250,8 @@ def test_shadow_catches_another_graphs_triple(c4):
     details = check_heap_identities(c4, *heap_series_triple(path_graph(4), 4)).details
     assert len(details) == 64
     assert all(d.startswith("[x^V]H_S != source-confined count for S=") for d in details)
+    assert details[0] == "[x^V]H_S != source-confined count for S=(), V=(1, 4)"
+    assert details[-1] == "[x^V]H_S != source-confined count for S=(1, 2, 3, 4), V=(1, 2, 3, 4)"
 
 
 def test_work_charge_stops_long_recurrences():
