@@ -33,6 +33,7 @@ from .polynomials import BivariatePoly, Poly
 from .subsets import ranked_entry
 
 DELCON_MAX_VERTICES = 30
+BIVARIATE_MAX_VERTICES = 16
 
 
 def _lower_tri_key(adj: Sequence[int]) -> tuple[int, int]:
@@ -307,8 +308,8 @@ def bivariate_polynomial(G: Graph, budget: Budget = DEFAULT_BUDGET) -> Bivariate
     subset_dp table sums chi_{G[W]} over |W| = w.  Memoized on G; each call
     returns a fresh copy.
     """
-    if G.n > 16:
-        raise TooManyVertices(f"bivariate polynomial capped at n=16, got {G.n}")
+    if G.n > BIVARIATE_MAX_VERTICES:
+        raise TooManyVertices(f"bivariate polynomial capped at n={BIVARIATE_MAX_VERTICES}, got {G.n}")
     return BivariatePoly(_bivariate_terms(G, budget))
 
 

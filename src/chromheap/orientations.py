@@ -475,19 +475,24 @@ def subgraph_lambda_tally(G: Graph, mask: int) -> tuple[tuple[tuple[int, ...], i
 
 
 @graph_cached
-def sink_rooted_histogram(G: Graph, d: int) -> tuple[tuple[int, int], ...]:
-    """Histogram (source component count -> orientations) over the acyclic
-    orientations of G whose unique sink is vertex 1 and whose source
-    components each hold at most one of the vertices 1..d: one walk serves
-    every component count."""
-    full, pinned = G.full_mask, (1 << d) - 1
-    tally: Counter[int] = Counter()
+def sink_rooted_histogram(G: Graph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Histogram ((source component count, top) -> orientations) over the
+    acyclic orientations of G whose unique sink is vertex 1.
+
+    top is the number of trailing ones of L, the mask of the components'
+    least vertices.  Vertices 1..d lie in distinct components exactly when
+    each leads its own, that is when top >= d, so one walk per graph
+    serves every d and every count."""
+    full = G.full_mask
+    tally: Counter[tuple[int, int]] = Counter()
     for _, reach in _leaves(G):
         if _closure_sinks(reach) != 1:  # vertex 1 alone
             continue
         comps = _closure_components(reach, full)
-        if all((comp & pinned).bit_count() <= 1 for comp in comps):
-            tally[len(comps)] += 1
+        L = 0
+        for comp in comps:
+            L |= comp & -comp
+        tally[len(comps), (~L & (L + 1)).bit_length() - 1] += 1
     return tuple(sorted(tally.items()))
 
 

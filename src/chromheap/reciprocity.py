@@ -1,10 +1,12 @@
 """Counting interpretations of chromatic polynomials at negative arguments.
 
-Every check_* function computes one side by explicit counting (the ranked
-subset product of the a/b tables, or enumeration grouped by coloring) and
-the other side from a polynomial, then reports both numbers.  Nothing is
-asserted here; callers inspect the report.  The tuple counts build only
-the tables they read: a for free blocks, b for min-sourced ones.
+Every check_* function validates its arguments, counts one side (the
+ranked subset product of the a/b tables, or enumeration grouped by
+coloring), takes the other from a polynomial and hands both to _report.
+Nothing is asserted here; callers inspect the report.  The tuple counts
+build only the tables they read: a for free blocks, b for min-sourced ones.
+The coefficients of chi(q - j) and chi-hat_d(q + 1) are Taylor
+coefficients P^(i)(x) / i!, which _taylor reads without expanding P(q + x).
 
 Counting conventions.  An ordered tuple of blocks (V_1, gamma_1), ...,
 (V_k, gamma_k) always means: the V's are pairwise disjoint and cover the
@@ -14,9 +16,12 @@ blocks may be empty; "bare" blocks carry no orientation at all.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import product
 
 from .chromatic import (
+    BIVARIATE_MAX_VERTICES,
     bivariate_polynomial,
     chi_hat,
     chromatic_polynomial,
@@ -50,18 +55,31 @@ from .orientations import (
     subgraph_component_histogram,
     unique_source_min_table,
 )
+from .polynomials import Poly
 from .reports import ReciprocityReport
 from .subsets import ranked_entry, ranked_product
 
 # the largest n whose tuple counts (i + j <= 5, seeded G(n, 1/2)) finish
-# within 10 s at the default budget; the bivariate polynomial stops at 16
+# within 10 s at the default budget; bivariate checks stop at chromatic's cap
 DP_MAX_VERTICES = 18
-BIVARIATE_MAX_VERTICES = 16
 NAIVE_MAX_VERTICES = 5
 
 
 def _sign(k: int) -> int:
     return -1 if k & 1 else 1
+
+
+def _taylor(P: Poly, i: int, x: int) -> int:
+    """[q^i] P(q + x) = sum over k >= i of C(k, i) p_k x^(k - i); 0 for i < 0
+    and above the degree, as Poly.coefficient."""
+    if i < 0:
+        return 0
+    return sum(math.comb(k, i) * c * x ** (k - i) for k, c in enumerate(P.coeffs[i:], i))
+
+
+def _report(identity: str, params: dict, count: int, poly_side: int,
+            strata: dict | None = None) -> ReciprocityReport:
+    return ReciprocityReport(identity, params, count, poly_side, count == poly_side, strata)
 
 
 # ---------------------------------------------------------------------------
@@ -82,35 +100,20 @@ def check_derivative_reciprocity(
     if n > DP_MAX_VERTICES:
         raise TooManyVertices(f"tuple DP capped at n={DP_MAX_VERTICES}, got {n}")
     a = acyclic_count_table(G, budget) if j else None
-    full = G.full_mask
-    strata = None
     if i == 0:
-        count = ranked_entry([(a, j)], n)
+        count, strata = ranked_entry([(a, j)], n), None
     else:
         b = unique_source_min_table(G, budget)
         rest = ranked_product([(b, i - 1), (a, j)], n)
-        strata = {}
-        count = 0
-        for V1 in range(1 << n):
-            bv = b[V1]
-            if not bv:
-                continue
-            r = rest[full ^ V1]
-            if not r:
-                continue
-            s = V1.bit_count()
-            strata[s] = strata.get(s, 0) + bv * r
-            count += bv * r
+        full, by_size = G.full_mask, Counter()
+        for V1, bv in enumerate(b):
+            if bv:
+                by_size[V1.bit_count()] += bv * rest[full ^ V1]
+        strata = {s: c for s, c in by_size.items() if c}
+        count = sum(strata.values())
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(n - i) * chi.derivative(i).evaluate(-j)
-    return ReciprocityReport(
-        identity="chromatic_derivative",
-        params={"i": i, "j": j},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-        strata=strata,
-    )
+    return _report("chromatic_derivative", {"i": i, "j": j}, count,
+                   _sign(n - i) * chi.derivative(i).evaluate(-j), strata)
 
 
 def count_block_tuples_naive(G: Graph, i: int, j: int, d: int = 0) -> int:
@@ -170,21 +173,10 @@ def check_stanley_reciprocity(
     if j > 5:
         raise ResourceBudgetExceeded("direct pair enumeration capped at j <= 5")
     acyclic = AcyclicCounts(G)
-    count = 0
-    for classes in enumerate_colorings(G, j, 0, budget=budget):
-        prod = 1
-        for mask in classes:
-            prod *= acyclic[mask]
-        count += prod
+    colorings = enumerate_colorings(G, j, 0, budget=budget)
+    count = sum(math.prod(acyclic[mask] for mask in classes) for classes in colorings)
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(G.n) * chi.evaluate(-j)
-    return ReciprocityReport(
-        identity="stanley",
-        params={"j": j},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("stanley", {"j": j}, count, _sign(G.n) * chi.evaluate(-j))
 
 
 def count_descent_free_pairs_naive(G: Graph, j: int) -> int:
@@ -208,17 +200,9 @@ def check_greene_zaslavsky(
 ) -> ReciprocityReport:
     """Acyclic orientations with exactly i source components, versus
     (-1)^(n-i) times the coefficient of q^i in chi."""
-    hist = dict(subgraph_component_histogram(G, G.full_mask))
-    count = hist.get(i, 0)
+    count = dict(subgraph_component_histogram(G, G.full_mask)).get(i, 0)
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(G.n - i) * chi.coefficient(i)
-    return ReciprocityReport(
-        identity="greene_zaslavsky",
-        params={"i": i},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("greene_zaslavsky", {"i": i}, count, _sign(G.n - i) * chi.coefficient(i))
 
 
 def check_shifted_reciprocity(
@@ -244,14 +228,7 @@ def check_shifted_reciprocity(
                 prod *= acyclic[mask]
             count += prod
     chi = chromatic_polynomial(G, budget=budget)
-    poly_side = _sign(G.n - i) * chi.shift(-j).coefficient(i)
-    return ReciprocityReport(
-        identity="shifted_chromatic",
-        params={"i": i, "j": j},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("shifted_chromatic", {"i": i, "j": j}, count, _sign(G.n - i) * _taylor(chi, i, -j))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +256,8 @@ def check_clique_quotient_reciprocity(
     ]
     count = ranked_entry(pinned + [(b, i), (a, j)], n)
     quotient = chi_hat(G, d, budget=budget)
-    poly_side = _sign(n - d - i) * quotient.derivative(i).evaluate(-j)
-    return ReciprocityReport(
-        identity="clique_quotient",
-        params={"d": d, "i": i, "j": j},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("clique_quotient", {"d": d, "i": i, "j": j}, count,
+                   _sign(n - d - i) * quotient.derivative(i).evaluate(-j))
 
 
 def check_sink_rooted(
@@ -307,17 +278,10 @@ def check_sink_rooted(
         raise NotAClique(f"vertices 1..{d} are not pairwise adjacent")
     if d < 1:
         raise VertexOutOfRange("d must be at least 1")
-    n = G.n
-    count = dict(sink_rooted_histogram(G, d)).get(d + i, 0)
+    # vertices 1..d lie in distinct components exactly when top >= d
+    count = sum(c for (k, top), c in sink_rooted_histogram(G) if k == d + i and top >= d)
     quotient = chi_hat(G, d, budget=budget)
-    poly_side = _sign(n - d - i) * quotient.shift(1).coefficient(i)
-    return ReciprocityReport(
-        identity="sink_rooted",
-        params={"d": d, "i": i},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("sink_rooted", {"d": d, "i": i}, count, _sign(G.n - d - i) * _taylor(quotient, i, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +302,7 @@ def check_bivariate_reciprocity(
     free = ranked_product([(a, j)], n)  # k bare blocks cover the rest in k^|rest| ways
     count = sum(c * k ** (n - T.bit_count()) for T, c in enumerate(free) if c)
     poly = bivariate_polynomial(G, budget=budget)
-    poly_side = _sign(n) * poly.evaluate(-j, -k)
-    return ReciprocityReport(
-        identity="bivariate",
-        params={"j": j, "k": k},
-        count=count,
-        poly_side=poly_side,
-        equal=count == poly_side,
-    )
+    return _report("bivariate", {"j": j, "k": k}, count, _sign(n) * poly.evaluate(-j, -k))
 
 
 def count_bivariate_tuples_naive(G: Graph, j: int, k: int) -> int:

@@ -47,6 +47,26 @@ def test_theorem1_table(capsys, c4_file):
         assert row in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["greene_zaslavsky", "-i", "-1"],
+    ["theorem45", "-d", "1", "-i", "-1"],
+])
+def test_negative_i_reads_a_zero_coefficient(capsys, c4_file, flags):
+    # no orientation has -1 source components, and q^-1 has no coefficient
+    code, out, _ = run_cli(capsys, "reciprocity", "--graph", c4_file, "--check", *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["poly_side"]) == ("0", "0")
+
+
+def test_corollary43_rejects_negative_i(capsys, c4_file):
+    code, _, err = run_cli(
+        capsys, "reciprocity", "--graph", c4_file, "--check", "corollary43", "-i", "-1", "-j", "0",
+    )
+    assert code == 2
+    assert "i and j must be nonnegative" in err
+
+
 def test_chromatic_json_coefficients(capsys, c4_file):
     code, out, _ = run_cli(capsys, "chromatic", "--graph", c4_file)
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chromheap.chromatic import chi_hat, chromatic_polynomial
 from chromheap.errors import BadLabeling, Disconnected, NotAClique, VertexOutOfRange
-from chromheap.families import complete_graph, cycle_graph, path_graph, star_graph
+from chromheap.families import complete_graph, cycle_graph, path_graph, seeded_family, star_graph
 from chromheap.graphs import ascending_relabel, from_edge_list, is_clique, is_connected, vset
 from chromheap.orientations import (
     acyclic_count_table,
@@ -20,7 +20,9 @@ from chromheap.orientations import (
     source_components,
     unique_source_min_table,
 )
+from chromheap.polynomials import Poly
 from chromheap.reciprocity import (
+    _taylor,
     check_bivariate_reciprocity,
     check_clique_quotient_reciprocity,
     check_derivative_reciprocity,
@@ -270,3 +272,34 @@ def test_star_and_complete_controls():
         assert check_derivative_reciprocity(g, 2, 1).equal
         assert check_stanley_reciprocity(g, 2).equal
         assert check_greene_zaslavsky(g, 1).equal
+
+
+def _sides(r):
+    return r.count, r.poly_side
+
+
+def test_paper_specializations_agree():
+    # Theorem 4.4 at d = 0 is Theorem 1; Corollary 4.3 at j = 0 is
+    # Greene-Zaslavsky; summed over i at j - 1, Corollary 4.3 is Stanley at j
+    for _, g in seeded_family(count=60):
+        for i in range(3):
+            for j in range(3):
+                assert _sides(check_derivative_reciprocity(g, i, j)) == _sides(
+                    check_clique_quotient_reciprocity(g, 0, i, j))
+        for i in range(g.n + 2):
+            assert _sides(check_greene_zaslavsky(g, i)) == _sides(check_shifted_reciprocity(g, i, 0))
+        for j in range(1, 4):
+            shifted = [check_shifted_reciprocity(g, i, j - 1) for i in range(g.n + 1)]
+            assert _sides(check_stanley_reciprocity(g, j)) == (
+                sum(r.count for r in shifted), sum(r.poly_side for r in shifted))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_taylor_matches_the_expanded_shift(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        p = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))])
+        for x in range(-3, 4):
+            shifted = p.shift(x)
+            for i in range(-2, p.degree + 3):
+                assert _taylor(p, i, x) == shifted.coefficient(i)
