@@ -31,7 +31,7 @@ from .reciprocity import (
 )
 from .reports import IdentityReport, ReciprocityReport
 from .selfcheck import run_selfcheck
-from .series import _prepay_heap_identities, check_heap_identities, heap_series_triple
+from .series import TruncatedSeries, _prepay_heap_identities, check_heap_identities, heap_series_triple
 from .symfunc import (
     csf_powersum,
     expand_finite,
@@ -136,6 +136,8 @@ def _graph_summary(g: Graph) -> dict:
 
 def _render_table(payload, indent: int = 0, key: str | None = None) -> list[str]:
     """Loose flat rendering of the JSON payload; not a stability contract."""
+    if isinstance(payload, TruncatedSeries):
+        payload = payload.to_json_list()
     pad = "  " * indent
     label = f"{key}: " if key is not None else ""
     if isinstance(payload, dict):
@@ -157,7 +159,8 @@ def _render_table(payload, indent: int = 0, key: str | None = None) -> list[str]
 
 def _dumps(obj, newline: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for the types a payload
-    holds: dict with str keys, list, tuple, str, int, bool and None.  The
+    holds: dict with str keys, list, tuple, str, int, bool and None, and a
+    TruncatedSeries, written as its to_json_list() from its slices.  The
     json module has no C encoder for indented output; this writer quotes
     strings with its C function and renders ints with int.__repr__, as
     json does, and renders the str and int members of a container inline.
@@ -198,6 +201,8 @@ def _dumps(obj, newline: str = "\n") -> str:
         return "false"
     if kind is int:
         return int.__repr__(obj)
+    if kind is TruncatedSeries:
+        return obj._json_listing(newline)
     raise TypeError(f"payload values of type {kind.__name__} are not written")
 
 
@@ -270,9 +275,9 @@ def _cmd_heaps(args, budget: Budget) -> tuple[int, dict]:
     payload = {
         "graph": _graph_summary(g),
         "bound": bound,
-        "trivial": trivial.to_json_list(),
-        "heap": heap.to_json_list(),
-        "pyramid": pyramid.to_json_list(),
+        "trivial": trivial,
+        "heap": heap,
+        "pyramid": pyramid,
         "identities": report.to_json_dict(),
     }
     return (0 if report.equal else 1), payload

@@ -14,35 +14,38 @@ so series in one commuting variable per vertex count heaps by type:
 
 Layout.  A series cut at total degree D is stored as its D + 1 homogeneous
 slices.  A monomial is one int with each exponent in a field of
-max(1, D.bit_length()) bits, so a monomial product is one integer add that
-never carries, and the slice product sum_k A_k B_{d-k} (`_degree`) never
-forms a term above D.  Multiplication, inverse, log and exp are recurrences
-over it, and their results are stored as they come out; `terms`, keyed by
-exponent tuples, is a view built on first use.  Listings (to_json_list,
-repr) and mismatch reports read the slices in degree order, unpacking and
-sorting one slice at a time, so they never build the view.  Each product
-or recurrence charges its coefficient pairs against
-Budget.enumeration_limit: as it runs in general, and up front where the
-count is known before the first degree (`_full_support_pairs`: the
-inversion of heap_series_triple and the exp step of check_heap_identities,
-both of which meet every monomial of H).  Those counts, and the running
+max(1, D.bit_length()) bits, x1 in the highest field and xn in the lowest,
+so a monomial product is one integer add that never carries, and the slice
+product sum_k A_k B_{d-k} (`_degree`) never forms a term above D.
+Multiplication, inverse, log and exp are recurrences over it, and their
+results are stored as they come out; `terms`, keyed by exponent tuples, is
+a view built on first use.  Within one slice the packed ints sort as their
+exponent tuples do, so listings (to_json_list, repr, the CLI's JSON writer)
+and mismatch reports sort each slice's ints and unpack them in that order,
+and never build the view.  Each product or recurrence charges its
+coefficient pairs against Budget.enumeration_limit: as it runs in general,
+and up front where the count is known before the first degree (the
+inversion of heap_series_triple, which meets every monomial of H,
+`_full_support_pairs`; and the exp step of check_heap_identities, which
+meets the independent sets, `_exp_pairs`).  Those counts, and the running
 total of the check's H * T(-x) product, follow from G and D alone
 (`_heap_slice_sizes`), so verify_heap_identities and the CLI charge them
 before any series is built.
 
 Heap routes, both in integers, from F = T(-x) built from the independent
-sets.  Inversion: H_d = -sum_{k>=1} F_k H_{d-k}.  Log, then exp: with theta
-the Euler operator (x^m -> |m| x^m), thetaL_d = d F_d - sum_{1<=k<d} F_k
-thetaL_{d-k} gives L = log F and P = -L, whose P_m = -thetaL_m / |m| is the
-only division into Fraction; exp rebuilds H' from d H'_d = sum_{k>=1}
-(theta P)_k H'_{d-k} by exact division, and check_heap_identities compares
-H' with H.  The two routes share the slice product and, for their
-up-front charges, the pair count of a recurrence onto H.
+sets.  Inversion: H_d = -sum_{k>=1} F_k H_{d-k}.  Log: with theta the Euler
+operator (x^m -> |m| x^m), thetaL_d = d F_d - sum_{1<=k<d} F_k thetaL_{d-k}
+gives L = log F and P = -L, whose P_m = -thetaL_m / |m| is the only
+division into Fraction.  check_heap_identities checks the inversion by
+H * T(-x) = 1, and the log against it by rebuilding g = exp(-P) from
+d g_d = sum_{j<d} g_j (-theta P)_{d-j}, by exact division, and comparing g
+with F degree by degree.  The routes share the slice product.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .config import DEFAULT_BUDGET, Budget, charge
@@ -64,15 +67,15 @@ def _width(bound: int) -> int:
 
 
 def _fields(nvars: int, bound: int) -> tuple[int, range]:
-    """(mask, shifts) of the exponent fields: exponent i of a packed
-    monomial k is k >> shifts[i] & mask."""
+    """(mask, shifts) of the exponent fields, highest first: exponent i of
+    a packed monomial k is k >> shifts[i] & mask."""
     width = _width(bound)
-    return (1 << width) - 1, range(0, width * nvars, width)
+    return (1 << width) - 1, range(width * (nvars - 1), -1, -width)
 
 
-def _spread(vmask: int, width: int) -> int:
+def _spread(vmask: int, nvars: int, width: int) -> int:
     """The packed squarefree monomial x^V of a vertex mask V."""
-    return sum(1 << width * (v - 1) for v in iter_vertices(vmask))
+    return sum(1 << width * (nvars - v) for v in iter_vertices(vmask))
 
 
 def _div(c, d: int):
@@ -106,6 +109,16 @@ def _full_support_pairs(sizes: Sequence[int], n: int) -> int:
     is exact when e is H and an upper bound for any e."""
     bound = len(sizes) - 1
     return sum(size * math.comb(bound - k + n, n) for k, size in enumerate(sizes) if k)
+
+
+def _exp_pairs(p: Sequence[int], f: Sequence[int]) -> int:
+    """Coefficient pairs of rebuilding F from P, with sizes p[k] = |P_k| and
+    f[j] = |F_j| for j <= D: degree d takes sum_{j<d} F_j (theta P)_{d-j}
+    and theta keeps the support of P, so the count is sum_{k>=1} |P_k|
+    sum_{j<=D-k} |F_j|, read off prefix sums of f."""
+    below = list(accumulate(f))  # below[i] = |F_0| + ... + |F_i|
+    bound = len(f) - 1
+    return sum(size * below[bound - k] for k, size in enumerate(p) if k)
 
 
 def _degree(a: list, b: Slices, d: int, work: _Work) -> dict:
@@ -176,9 +189,24 @@ def _exp_of_theta(theta: Slices, work: _Work) -> Slices:
     return e
 
 
-def _theta(a: Slices) -> Slices:
-    """theta a, whole coefficients as ints so that exp stays in integers."""
-    out = [{k: d * c for k, c in x.items()} for d, x in enumerate(a)]
+def _first_exp_difference(theta: Slices, f: Slices, work: _Work) -> tuple[int, dict] | None:
+    """The first degree d at which the e of _exp_of_theta(theta) differs
+    from f, with e_d; None when e = f.  Below d, e equals f, so d e_d is
+    the sum over the nonempty f_j, j < d, of f_j theta_{d-j}: each degree
+    walks the nonempty slices of f met so far, never every slice of theta."""
+    e_items = []  # (j, e_j) for the nonempty e_j, j < d
+    for d, x in enumerate(f):
+        e = {k: _div(c, d) for k, c in _degree(e_items, theta, d, work).items()} if d else {0: 1}
+        if e != x:
+            return d, e
+        if x:
+            e_items.append((d, x))
+    return None
+
+
+def _theta(a: Slices, sign: int = 1) -> Slices:
+    """sign * theta a, whole coefficients as ints so that exp stays in integers."""
+    out = [{k: sign * d * c for k, c in x.items()} for d, x in enumerate(a)]
     return [{k: c.numerator if c.denominator == 1 else c for k, c in x.items()} for x in out]
 
 
@@ -198,14 +226,14 @@ class TruncatedSeries:
     __slots__ = ("nvars", "bound", "_slices", "_view")
 
     def __init__(self, nvars: int, bound: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        width = _width(bound)
+        shifts = _fields(nvars, bound)[1]
         slices: Slices = [{} for _ in range(bound + 1)]
         for exps, c in (terms or {}).items():
             key = tuple(exps)
             if len(key) != nvars or any(e < 0 for e in key):
                 raise InternalInvariantViolation(f"bad exponent tuple {key} for {nvars} variables")
             if c != 0 and sum(key) <= bound:
-                slices[sum(key)][sum(e << width * i for i, e in enumerate(key))] = c
+                slices[sum(key)][sum(e << s for e, s in zip(key, shifts))] = c
         self.nvars, self.bound, self._slices, self._view = nvars, bound, slices, None
 
     @classmethod
@@ -229,7 +257,9 @@ class TruncatedSeries:
         """Coefficient of the squarefree monomial given by a vertex mask."""
         mask &= (1 << self.nvars) - 1
         d = mask.bit_count()
-        return self._slices[d].get(_spread(mask, _width(self.bound)), 0) if d <= self.bound else 0
+        if d > self.bound:
+            return 0
+        return self._slices[d].get(_spread(mask, self.nvars, _width(self.bound)), 0)
 
     def constant_term(self):
         return self._slices[0].get(0, 0) if self._slices else 0
@@ -305,13 +335,30 @@ class TruncatedSeries:
     def to_json_list(self) -> list[dict]:
         out = []
         for exps, c in _listing(self._slices, self.nvars):
-            if type(c) is int:
-                num, den = str(c), "1"
-            else:
-                c = c if type(c) is Fraction else Fraction(c)
-                num, den = str(c.numerator), str(c.denominator)
+            num, den = _num_den(c)
             out.append({"exponents": exps, "num": num, "den": den})
         return out
+
+    def _json_listing(self, newline: str) -> str:
+        """json.dumps(self.to_json_list(), indent=2) with newline carrying the
+        indent of the closing bracket, written straight from the slices."""
+        term, field = newline + "  ", newline + "    "
+        digit, shifts = _fields(self.nvars, self.bound)
+        names = [str(e) for e in range(self.bound + 1)]
+        sep = "," + field + "  "
+        if self.nvars:
+            head, mid = "{" + field + '"exponents": [' + field + "  ", field + "],"
+        else:
+            head, mid = "{" + field + '"exponents": [', "],"
+        mid += field + '"num": "'
+        den_key, tail = '",' + field + '"den": "', '"' + term + "}"
+        rows = []
+        for x in self._slices:  # in _listing's order, unpacked to digit strings
+            for k in sorted(x):
+                num, den = _num_den(x[k])
+                exps = sep.join([names[k >> s & digit] for s in shifts])
+                rows.append(head + exps + mid + num + den_key + den + tail)
+        return "[" + term + ("," + term).join(rows) + newline + "]" if rows else "[]"
 
     def __repr__(self) -> str:
         bits = []
@@ -324,14 +371,21 @@ class TruncatedSeries:
         return f"TruncatedSeries({' + '.join(bits) or '0'}{tail})"
 
 
+def _num_den(c) -> tuple[str, str]:
+    """Numerator and denominator of a coefficient, as decimal strings."""
+    if type(c) is int:
+        return str(c), "1"
+    c = c if type(c) is Fraction else Fraction(c)
+    return str(c.numerator), str(c.denominator)
+
+
 def _listing(slices: Slices, nvars: int):
-    """Yield (exponent list, value) by degree and then lexicographically,
-    unpacking and sorting one slice at a time."""
+    """Yield (exponent list, value) by degree and then lexicographically:
+    x1 packs highest, so a slice's packed ints sort as its exponent tuples."""
     digit, shifts = _fields(nvars, len(slices) - 1)
     for x in slices:
-        # distinct monomials of one slice unpack to distinct lists, so the
-        # sort never compares values
-        yield from sorted([([k >> s & digit for s in shifts], c) for k, c in x.items()])
+        for k in sorted(x):
+            yield [k >> s & digit for s in shifts], x[k]
 
 
 def _guard_series_size(n: int, bound: int, budget: Budget) -> None:
@@ -361,7 +415,7 @@ def _trivial_slices(G: Graph, bound: int, sign: int = 1, avoid: int = 0) -> Slic
     """T_{avoid-bar}(sign * x): sign^|I| x^I for each independent set I missing avoid."""
     width = _width(bound)
     return [
-        {_spread(mask, width): sign**d for mask in masks if not mask & avoid}
+        {_spread(mask, G.n, width): sign**d for mask in masks if not mask & avoid}
         for d, masks in enumerate(_independent_levels(G, bound))
     ]
 
@@ -489,7 +543,7 @@ def _heap_slice_sizes(G: Graph, bound: int) -> tuple[list[int], list[int]]:
 def _prepay_heap_identities(G: Graph, bound: int, budget: Budget) -> None:
     """Charge, from G and the bound alone and in their order, every charge
     of heap_series_triple and check_heap_identities: the series size, the
-    inversion's pairs, the exp(P) step's pairs, and the H * T(-x) product's
+    inversion's pairs, the exp(-P) step's pairs, and the H * T(-x) product's
     running total degree by degree.  The theta log charges as it runs too,
     but never past the inversion's count, as no slice of P is larger than
     the slice of H of its degree.  Each count is exact, so this refuses what
@@ -498,7 +552,7 @@ def _prepay_heap_identities(G: Graph, bound: int, budget: Budget) -> None:
     _guard_series_size(G.n, bound, budget)
     f, p = _heap_slice_sizes(G, bound)
     charge(_PAIRS, _full_support_pairs(f, G.n), budget.enumeration_limit)
-    charge(_PAIRS, _full_support_pairs(p, G.n), budget.enumeration_limit)
+    charge(_PAIRS, _exp_pairs(p, f), budget.enumeration_limit)
     h = [1] + [math.comb(j + G.n - 1, j) for j in range(1, bound + 1)]  # |H_j|
     f_items = [(k, size) for k, size in enumerate(f) if size]
     total = 0
@@ -531,10 +585,16 @@ def check_heap_identities(
 ) -> IdentityReport:
     """Check the identities for T, H and P as heap_series_triple builds them.
 
-    Always: H * T(-x) = 1, and exp(P) = H with exp rebuilding H from theta P
-    alone, so the comparison crosses the inversion and log routes.  For
-    n <= 5, [x^V]H_S must count the acyclic orientations of G[V] with all
-    sources in S, for all S and V.  Only squarefree terms reach x^V, so
+    Always: H * T(-x) = 1, and exp(-P) = T(-x) with exp rebuilding T(-x)
+    from theta P alone.  A series with constant term 1 has one inverse, so
+    given the first, exp(P) = H <=> exp(P) T(-x) = 1 <=> exp(-P) = T(-x):
+    the second checks the log route against the inversion route as
+    exp(P) = H would, but its rebuilt series has the support of T(-x), the
+    independent sets, and not the full support of H.  It stops at the first
+    degree that differs.
+
+    For n <= 5, [x^V]H_S must count the acyclic orientations of G[V] with
+    all sources in S, for all S and V.  Only squarefree terms reach x^V, so
     [x^V]H_S = sum over U subset of V - S of t[U] [x^(V-U)]H, with t[U] =
     (-1)^|U| for independent U and 0 otherwise: one zeta transform per V
     of U -> t[U] [x^(V-U)]H, read at V - S for every S.
@@ -542,9 +602,9 @@ def check_heap_identities(
     bound = trivial.bound
     f = trivial.substitute_neg()._slices
     h, p = H._slices, P._slices
-    # theta drops the constant term, and exp(P) = H needs P_0 = 0; theta P
-    # has the support of P, so the exp route is charged before any work
-    exp_pairs = _full_support_pairs(list(map(len, p)), P.nvars)
+    # theta drops the constant term, and exp(-P) = T(-x) needs P_0 = 0;
+    # theta P has the support of P, so the exp route is charged before any work
+    exp_pairs = _exp_pairs(list(map(len, p)), list(map(len, f)))
     exp_work = _Work(budget, prepaid=exp_pairs) if P.constant_term() == 0 else None
     failures = []
     one = [{0: 1}] + [{} for _ in range(bound)]
@@ -552,9 +612,10 @@ def check_heap_identities(
     if product != one:
         failures += _mismatch("H * T(-x) != 1", product, one, H.nvars)
     if exp_work is None:
-        failures.append("exp(P) != H")
-    elif (e := _exp_of_theta(_theta(p), exp_work)) != h:
-        failures += _mismatch("exp(P) != H", e, h, H.nvars)
+        failures.append("exp(-P) != T(-x)")
+    elif differs := _first_exp_difference(_theta(p, -1), f, exp_work):
+        d, e = differs
+        failures += _mismatch("exp(-P) != T(-x)", f[:d] + [e] + f[d + 1:], f, P.nvars)
     if G.n <= 5:
         vsets = [V for V in range(1 << G.n) if V.bit_count() <= bound]
         tallies = {V: subgraph_source_mask_tally(G, V) for V in vsets}

@@ -694,14 +694,27 @@ def orientation_lambda_tally(G: Graph) -> PPoly:
 def verify_orientation_expansion(
     G: Graph, budget: Budget = DEFAULT_BUDGET
 ) -> IdentityReport:
-    """The orientation tally of p_{lambda(gamma)} should equal omega(X_G)."""
+    """The orientation tally of p_{lambda(gamma)} should equal omega(X_G);
+    when they differ, the report ends with the first partition, in
+    sorted_terms order, whose coefficients differ."""
     lhs = omega(csf_powersum(G, budget))
     rhs = orientation_lambda_tally(G)
+    details = (f"omega side {lhs.pretty()}", f"tally side {rhs.pretty()}")
+    equal = lhs == rhs
+    if not equal:
+        lam = min(
+            lam for lam in lhs.terms.keys() | rhs.terms.keys()
+            if lhs.coefficient(lam) != rhs.coefficient(lam)
+        )
+        details += (
+            f"first difference at partition {list(lam)}:"
+            f" omega {lhs.coefficient(lam)}, tally {rhs.coefficient(lam)}",
+        )
     return IdentityReport(
         identity="orientation_expansion",
         params={"n": G.n},
-        equal=lhs == rhs,
-        details=(f"omega side {lhs.pretty()}", f"tally side {rhs.pretty()}"),
+        equal=equal,
+        details=details,
     )
 
 

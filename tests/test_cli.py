@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from chromheap.config import Budget
 from chromheap.errors import ResourceBudgetExceeded
 from chromheap.families import cycle_graph
 from chromheap.reports import ReciprocityReport
+from chromheap.series import TruncatedSeries, trivial_series
 from chromheap.symfunc import MultiPoly, identity_sides
 
 
@@ -412,37 +417,88 @@ def test_huge_derivative_order_exits_quickly():
 
 
 def test_heaps_huge_bound_exits_2_quickly(tmp_path):
-    # K1 at D = 100000 has only 100001 terms, but exp(P) would multiply
-    # D (D + 1) / 2 coefficient pairs; they are charged before exp starts,
-    # so a charge that fired only as the pairs ran would pass the timeout
+    # K1 at D = 100000 has 100001 terms; the inversion multiplies D
+    # coefficient pairs, exp(-P) 2D - 1 and the check's H * T(-x) product
+    # 2D + 1.  A budget one pair short of the exp step refuses it by its
+    # exact count, charged from G and D before any series is built
     root = Path(__file__).resolve().parents[1]
     k1 = tmp_path / "k1.txt"
     k1.write_text("1\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "chromheap.cli", "heaps", "--graph", str(k1), "-D", "100000"],
+        [sys.executable, "-m", "chromheap.cli", "heaps", "--graph", str(k1), "-D", "100000",
+         "--budget", "enumeration_limit=199998"],
         capture_output=True, text=True, timeout=6, env=env,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "budget" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "series coefficient pairs needs 199999 > budget 199998" in proc.stderr
+
+
+def test_huge_bound_heap_check_is_linear_in_the_bound():
+    # every recurrence on K1 walks the one nonempty slice of T(-x) above
+    # degree 0, so D = 100000 answers in seconds (about 2 s with CPython
+    # 3.11 on a shared 2-vCPU host); a step that scanned every slice of
+    # theta P for each degree, or a prepay that summed over all pairs of
+    # degrees, would take minutes
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "from chromheap.families import complete_graph\n"
+        "from chromheap.series import verify_heap_identities\n"
+        "print(verify_heap_identities(complete_graph(1), 100000).equal)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def test_heaps_refuses_before_building_any_series(capsys, monkeypatch, tmp_path):
     # every up-front count comes from G and D alone, so a refused call
-    # never reaches the series
+    # never reaches the series: six isolated vertices at D = 23 have
+    # 475020 terms, within series_terms, but the inversion multiplies
+    # 14870213 coefficient pairs
     def unreachable(*args, **kwargs):
         raise AssertionError("heap_series_triple ran for a refused call")
 
     monkeypatch.setattr(cli, "heap_series_triple", unreachable)
-    k1 = tmp_path / "k1.txt"
-    k1.write_text("1\n")
-    code, out, err = run_cli(capsys, "heaps", "--graph", str(k1), "-D", "100000")
+    e6 = tmp_path / "e6.txt"
+    e6.write_text("6\n")
+    code, out, err = run_cli(capsys, "heaps", "--graph", str(e6), "-D", "23")
     assert (code, out) == (2, "")
     assert err == (
-        "error: series coefficient pairs needs 5000050000 > budget 8000000;"
+        "error: series coefficient pairs needs 14870213 > budget 8000000;"
         " raise the budget or shrink the input\n"
     )
+
+
+# seeded G(n, m) [s] and the bound: D = 7, 8, 15 and 16 sit on both sides of
+# the field-width steps of the packed series
+HEAPS_CORPUS = [(0, 0, 0, 3), (1, 0, 0, 16), (2, 1, 0, 16), (3, 0, 0, 15), (3, 2, 1, 8), (4, 4, 2, 7),
+                (5, 7, 3, 7), (5, 7, 4, 8), (6, 11, 5, 7), (7, 15, 6, 4), (7, 3, 7, 5)]
+HEAPS_CORPUS_SHA1 = "f19d149d4fa48282cb3d8ae6588c2bc76fb35456"
+
+
+def _heaps_corpus_digest(root: Path) -> str:
+    digest = hashlib.sha1()
+    for n, m, seed, bound in HEAPS_CORPUS:
+        edges = random.Random(seed).sample(list(combinations(range(1, n + 1), 2)), m)
+        path = root / f"g{n}_{m}_{seed}.txt"
+        path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        for mode in ("json", "table"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(["heaps", "--graph", str(path), "-D", str(bound), "--mode", mode])
+            digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def test_heaps_output_is_pinned(tmp_path):
+    # the digest of these calls' exit codes, stdout and stderr, as recorded
+    # before the series were written straight from their packed slices
+    assert _heaps_corpus_digest(tmp_path) == HEAPS_CORPUS_SHA1
 
 
 # --- the JSON writer ------------------------------------------------------
@@ -472,6 +528,49 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_writer_matches_json_dumps_indent_2(obj):
     assert cli._dumps(obj) + "\n" == json.dumps(obj, indent=2) + "\n"
+
+
+@st.composite
+def heaps_payloads(draw):
+    """A heaps-shaped payload on a graph with 0..7 vertices, the bound on
+    either side of a field-width step: the graph's trivial series, and
+    drawn series with negative, large and Fraction coefficients."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    bound = draw(st.sampled_from((0, 1, 3, 7, 8, 15, 16)))
+    pairs = list(combinations(range(1, n + 1), 2))
+    g = graphs.from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    coeff = st.one_of(
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.builds(Fraction, st.integers(min_value=-99, max_value=99), st.integers(min_value=1, max_value=99)),
+    )
+
+    def drawn_series():
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            exps, room = [], draw(st.integers(min_value=0, max_value=bound))
+            for _ in range(n):
+                exps.append(draw(st.integers(min_value=0, max_value=room)))
+                room -= exps[-1]
+            terms[tuple(exps)] = draw(coeff)
+        return TruncatedSeries(n, bound, terms)
+
+    return {
+        "graph": {"n": n, "edges": g.num_edges},
+        "bound": bound,
+        "trivial": trivial_series(g, bound),
+        "heap": drawn_series(),
+        "pyramid": drawn_series(),
+        "identities": {"identity": "heap_series", "equal": draw(st.booleans()), "details": []},
+    }
+
+
+@given(heaps_payloads())
+@settings(max_examples=150, deadline=None)
+def test_series_write_as_their_json_lists(payload):
+    listed = {k: v.to_json_list() if isinstance(v, TruncatedSeries) else v for k, v in payload.items()}
+    assert cli._dumps(payload) == json.dumps(listed, indent=2)
+    for s in (payload["trivial"], payload["heap"]):
+        assert s._json_listing("\n    ") == cli._dumps(s.to_json_list(), "\n    ")
 
 
 @pytest.mark.parametrize("obj, kind", [

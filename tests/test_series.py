@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -207,41 +209,66 @@ def _bumped(s, exps):
 
 @pytest.mark.parametrize("graph", [cycle_graph(4), path_graph(6)], ids=["c4", "p6"])
 def test_perturbed_series_are_reported(graph):
+    # H has every monomial within the bound, so these bump each coefficient
+    # of H, and each of P together with the zeros around its support
     bound = 4
     t, h, p = heap_series_triple(graph, bound)
     assert check_heap_identities(graph, t, h, p).equal
-    constant = (0,) * graph.n
-    for exps in [constant, *sorted(h.terms)[:: max(1, len(h.terms) // 12)]]:
+    assert len(h.terms) == comb(bound + graph.n, graph.n)
+    for exps in h.terms:
         details = check_heap_identities(graph, t, _bumped(h, exps), p).details
-        assert "H * T(-x) != 1" in details and "exp(P) != H" in details, exps
+        assert "H * T(-x) != 1" in details and "exp(-P) != T(-x)" not in details, exps
         details = check_heap_identities(graph, t, h, _bumped(p, exps)).details
-        assert "exp(P) != H" in details and "H * T(-x) != 1" not in details, exps
+        assert "exp(-P) != T(-x)" in details and "H * T(-x) != 1" not in details, exps
 
 
-def test_heap_mismatch_names_the_first_differing_monomial(c4, monkeypatch):
+def test_heap_mismatch_names_the_first_differing_monomial(c4):
     t, h, p = heap_series_triple(c4, 4)
     # H gains x2 x3, which H * T(-x) = 1 + x2 x3 + ... then carries as its
-    # lowest wrong term; exp(P) is still the true H (the squarefree shadow
-    # checks report the bump after these)
+    # lowest wrong term; exp(-P) = T(-x) does not read H (the squarefree
+    # shadow checks report the bump after these)
     details = check_heap_identities(c4, t, _bumped(h, (0, 1, 1, 0)), p).details
-    assert details[:4] == (
-        "H * T(-x) != 1", "first difference at exponents [0, 1, 1, 0]: 1 vs 0",
-        "exp(P) != H", "first difference at exponents [0, 1, 1, 0]: 2 vs 3",
-    )
-    # one side of exp(P) = H skewed at three monomials: degree comes first,
-    # then the tuple, although x1^2 packs below x1 x2
-    real = series._exp_of_theta
-
-    def skewed(theta, work):
-        e = series._series(4, 4, real(theta, work))
-        for m in ((0, 0, 0, 3), (2, 0, 0, 0), (1, 1, 0, 0)):
-            e = _bumped(e, m)
-        return e._slices
-
-    monkeypatch.setattr(series, "_exp_of_theta", skewed)
-    report = check_heap_identities(c4, t, h, p)
+    assert details[:2] == ("H * T(-x) != 1", "first difference at exponents [0, 1, 1, 0]: 1 vs 0")
+    assert "exp(-P) != T(-x)" not in details
+    # P gains three monomials, each of which exp(-P) carries as -1 times
+    # itself into degrees where T(-x) has none: degree comes first, although
+    # x4^3 packs below both degree-2 bumps, then the tuple
+    skewed = p
+    for m in ((0, 0, 0, 3), (2, 0, 0, 0), (1, 1, 0, 0)):
+        skewed = _bumped(skewed, m)
+    report = check_heap_identities(c4, t, h, skewed)
     assert not report.equal
-    assert report.details == ("exp(P) != H", "first difference at exponents [1, 1, 0, 0]: 3 vs 2")
+    assert report.details == ("exp(-P) != T(-x)", "first difference at exponents [1, 1, 0, 0]: -1 vs 0")
+    # a constant term in P has no exp to compare
+    details = check_heap_identities(c4, t, h, _bumped(p, (0, 0, 0, 0))).details
+    assert details == ("exp(-P) != T(-x)",)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exp_step_multiplies_what_was_prepaid(monkeypatch, seed):
+    # the prepay charges the series size, the inversion, then the exp(-P)
+    # step; the check's exp step must multiply exactly that many pairs
+    rng = random.Random(seed)
+    n = seed % 8
+    pairs = list(combinations(range(1, n + 1), 2))
+    g = from_edge_list(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    charged, multiplied = [], []
+    real = series._first_exp_difference
+
+    def counted(theta, f, work):
+        out = real(theta, f, work)
+        multiplied.append(work.pairs)
+        return out
+
+    monkeypatch.setattr(series, "_first_exp_difference", counted)
+    for bound in range(9):
+        charged.clear()
+        multiplied.clear()
+        with monkeypatch.context() as m:
+            m.setattr(series, "charge", lambda kind, amount, limit: charged.append(amount))
+            series._prepay_heap_identities(g, bound, Budget())
+        assert check_heap_identities(g, *heap_series_triple(g, bound)).equal
+        assert multiplied == [charged[2]], (n, bound)
 
 
 def test_shadow_catches_another_graphs_triple(c4):
@@ -257,10 +284,11 @@ def test_shadow_catches_another_graphs_triple(c4):
 def test_work_charge_stops_long_recurrences():
     tight = Budget(enumeration_limit=100)
     k1 = complete_graph(1)
-    # exp(P) on K1 multiplies 1 + 2 + ... + D coefficient pairs
-    assert verify_heap_identities(k1, 13, tight).equal  # 91 pairs
-    with pytest.raises(ResourceBudgetExceeded):
-        verify_heap_identities(k1, 14, tight)  # 105 pairs
+    # on K1 the inversion multiplies D coefficient pairs, exp(-P) 2D - 1
+    # and the check's H * T(-x) product 2D + 1, the most of the three
+    assert verify_heap_identities(k1, 49, tight).equal  # 99 pairs
+    with pytest.raises(ResourceBudgetExceeded, match="needs 101 > budget 100"):
+        verify_heap_identities(k1, 50, tight)
     with pytest.raises(ResourceBudgetExceeded):
         heap_series(complete_graph(3), 40, tight)
 

@@ -222,6 +222,28 @@ def test_orientation_expansion_c4(c4):
     assert orientation_lambda_tally(c4).terms == omega(csf_powersum(c4)).terms
 
 
+def test_orientation_expansion_mismatch_names_the_first_partition(c4, monkeypatch):
+    # the tally is skewed at p[3,1] and p[2,1,1]; the report keeps both
+    # sides and adds the first of the two in sorted_terms order
+    real = symfunc.orientation_lambda_tally
+    skew = PPoly({(3, 1): 2, (2, 1, 1): -1})
+    monkeypatch.setattr(symfunc, "orientation_lambda_tally", lambda g: real(g) + skew)
+    report = verify_orientation_expansion(c4)
+    lhs = omega(csf_powersum(c4))
+    assert not report.equal
+    assert report.details == (
+        f"omega side {lhs.pretty()}",
+        f"tally side {(lhs + skew).pretty()}",
+        f"first difference at partition [2, 1, 1]: omega {lhs.coefficient((2, 1, 1))},"
+        f" tally {lhs.coefficient((2, 1, 1)) - 1}",
+    )
+    # a partition that only the tally side has: omega(X) of three isolated
+    # vertices is p[1,1,1] alone
+    monkeypatch.setattr(symfunc, "orientation_lambda_tally", lambda g: real(g) + PPoly({(3,): 1}))
+    report = verify_orientation_expansion(from_edge_list(3, []))
+    assert report.details[2] == "first difference at partition [3]: omega 0, tally 1"
+
+
 @given(graphs(max_n=6))
 @settings(max_examples=25, deadline=None)
 def test_orientation_expansion_property(g):
