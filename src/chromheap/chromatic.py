@@ -30,7 +30,7 @@ from .graphs import (
     independence_table, induced_subgraph, is_clique, iter_vertices, table_entries, vset,
 )
 from .polynomials import BivariatePoly, Poly
-from .subsets import ranked_entry
+from .subsets import ranked_entry, ranked_product
 
 DELCON_MAX_VERTICES = 30
 BIVARIATE_MAX_VERTICES = 16
@@ -208,7 +208,7 @@ def chromatic_polynomial(
 
 def enumerate_colorings(
     G: Graph, colors: int, proper: int, sizes: Sequence[int] | None = None,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Budget = DEFAULT_BUDGET, steps: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every way to give each vertex v a set of sizes[v-1] colors out of
     0..colors-1 (one color each by default), as its tuple of color classes:
@@ -218,15 +218,17 @@ def enumerate_colorings(
     backtracks on adjacency as it places each vertex; colors at or above
     `proper` are free.  Vertex 1 chooses slowest, its sets in lexicographic
     order.  The walk has at most prod_v C(colors, sizes[v-1]) leaves
-    (colors^n by default), charged to enumeration_limit before the first.
+    (colors^n by default), charged to enumeration_limit before the first;
+    a caller that knows the walk's exact size passes it as steps instead.
     """
     n = G.n
     if sizes is None:
         sizes = [1] * n
     if len(sizes) != n:
         raise VertexOutOfRange(f"{len(sizes)} color-set sizes for {n} vertices")
-    leaves = math.prod(math.comb(max(colors, 0), k) for k in sizes)
-    charge("coloring enumeration", leaves, budget.enumeration_limit)
+    if steps is None:
+        steps = math.prod(math.comb(max(colors, 0), k) for k in sizes)
+    charge("coloring enumeration", steps, budget.enumeration_limit)
     classes = [0] * max(colors, 0)
     if n == 0:
         yield tuple(classes)
@@ -259,11 +261,20 @@ def enumerate_colorings(
     yield from rec(0)
 
 
-def count_proper_colorings(G: Graph, q: int) -> int:
-    """Brute-force count of proper colorings with colors 1..q."""
+def count_proper_colorings(G: Graph, q: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Brute-force count of proper colorings with colors 1..q.  Where the
+    bound q^n is over budget.enumeration_limit, the walk is charged its
+    exact size instead: the proper colorings of every prefix G[1..d], read
+    off one ranked product of the independence table (2^n entries charged
+    to memo_entries first)."""
     if q < 0:
         raise VertexOutOfRange("color count must be nonnegative")
-    return sum(1 for _ in enumerate_colorings(G, q, q))
+    n, steps = G.n, None
+    if q ** n > budget.enumeration_limit:
+        charge("independent tuple table entries", table_entries(n), budget.memo_entries)
+        tuples = ranked_product([(independence_table(G), q)], n)
+        steps = sum(tuples[(1 << d) - 1] for d in range(1, n + 1))
+    return sum(1 for _ in enumerate_colorings(G, q, q, budget=budget, steps=steps))
 
 
 def count_independent_tuples(G: Graph, q: int) -> int:

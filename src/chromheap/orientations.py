@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_BUDGET, Budget, charge
@@ -244,19 +244,6 @@ def lambda_partition(components: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted((c.bit_count() for c in components), reverse=True))
 
 
-def restrict_orientation(G: Graph, o: Orientation, mask: int) -> Orientation:
-    """Restriction of an orientation to G[mask], in the induced numbering."""
-    H, labels = induced_subgraph(G, mask)
-    direction = {}
-    for e, (u, v) in enumerate(G.edges):
-        direction[(u, v)] = o.bits >> e & 1
-    bits = 0
-    for e, (u, v) in enumerate(H.edges):
-        ou, ov = labels[u - 1], labels[v - 1]
-        bits |= direction[(ou, ov)] << e
-    return Orientation(H.edges, bits)
-
-
 def assemble_orientation(
     G: Graph, blocks: Sequence[tuple[int, Orientation]]
 ) -> Orientation:
@@ -293,16 +280,6 @@ def assemble_orientation(
         if tail > head:
             bits |= 1 << edge_pos[(head, tail)]
     return Orientation(G.edges, bits)
-
-
-def is_descent_free(G: Graph, o: Orientation, coloring: Sequence[int]) -> bool:
-    """True iff colors never decrease along arcs; coloring[v-1] colors vertex v."""
-    if len(coloring) != G.n:
-        raise VertexOutOfRange(f"coloring has length {len(coloring)}, need {G.n}")
-    for t, h in o.arcs:
-        if coloring[t - 1] > coloring[h - 1]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +380,54 @@ def count_bipolar(G: Graph, u: int, v: int) -> int:
 # enumerated statistics of induced subgraphs (independent oracle paths)
 
 
-@graph_cached
 def subgraph_acyclic_count(G: Graph, mask: int) -> int:
-    """Acyclic orientation count of G[mask] by direct enumeration."""
-    H, _ = induced_subgraph(G, mask)
-    return sum(1 for _ in _iter_acyclic_bits(H.n, H.edges))
+    """Acyclic orientation count of G[mask] by direct enumeration: the total
+    of its partition tally, so G[mask] is walked once for both.  Past
+    MAX_ENUM_EDGES edges, where the tally is refused, it counts the walk's
+    leaves itself."""
+    if G.num_edges > MAX_ENUM_EDGES:
+        H, _ = induced_subgraph(G, mask)
+        if H.num_edges > MAX_ENUM_EDGES:
+            return sum(1 for _ in _iter_acyclic_bits(H.n, H.edges))
+    return sum(count for _, count in subgraph_lambda_tally(G, mask))
 
 
-class AcyclicCounts(dict):
-    """Class mask -> subgraph_acyclic_count(G, mask), filled on first use:
-    a coloring walk's local memo, so that a repeated class costs one dict
-    lookup and not a call through graph_cached."""
+@graph_cached
+def _component_table(G: Graph, i: int | None) -> tuple[int, ...]:
+    """For every mask S, the enumerated acyclic orientations of G[S] (i
+    None) or those with i source components.  Only a connected G[S] is
+    walked: a disconnected one takes its lowest component's entry times
+    the rest's, as orientations multiply and source components add over
+    components.  Histograms by component count are packed at x = 2^(m+1)
+    (no count exceeds 2^m) and cut after x^i."""
+    width = G.num_edges + 1
+    if i is None:
+        connected, cut, shift = partial(subgraph_acyclic_count, G), -1, 0
+    else:
+        def connected(S: int) -> int:
+            return sum(c << width * k for k, c in subgraph_component_histogram(G, S) if k <= i)
 
-    def __init__(self, G: Graph):
-        super().__init__({0: 1})
-        self.graph = G
+        cut, shift = (1 << width * (min(i, G.n) + 1)) - 1, width * i
+    table = [1] * table_entries(G.n)
+    for S in range(1, len(table)):
+        low = reachable([a & S for a in G.adj], vset_min(S))
+        table[S] = table[low] * table[S ^ low] & cut if low != S else connected(S)
+    return tuple(h >> shift for h in table)
 
-    def __missing__(self, mask: int) -> int:
-        self[mask] = count = subgraph_acyclic_count(self.graph, mask)
-        return count
+
+def subgraph_acyclic_table(G: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """subgraph_acyclic_count of every mask, the enumerated twin of
+    acyclic_count_table.  Kept on the graph; every call charges its 2^n
+    entries to budget.memo_entries first."""
+    charge("enumerated subgraph table entries", table_entries(G.n), budget.memo_entries)
+    return _component_table(G, None)
+
+
+def subgraph_component_table(G: Graph, i: int, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """The enumerated acyclic orientations of every G[S] with i source
+    components, kept and charged as subgraph_acyclic_table."""
+    charge("enumerated subgraph table entries", table_entries(G.n), budget.memo_entries)
+    return _component_table(G, i)
 
 
 def subgraph_unique_source_count(G: Graph, mask: int, source: int) -> int:
@@ -436,7 +442,6 @@ def subgraph_unique_source_min_count(G: Graph, mask: int) -> int:
     return subgraph_unique_source_count(G, mask, vset_min(mask))
 
 
-@graph_cached
 def subgraph_component_histogram(G: Graph, mask: int) -> tuple[tuple[int, int], ...]:
     """Histogram (component count -> orientations) of G[mask], folded from
     the partition tally; the empty graph contributes one orientation with
@@ -467,10 +472,15 @@ def subgraph_lambda_tally(G: Graph, mask: int) -> tuple[tuple[tuple[int, ...], i
     if mask == 0:
         return (((), 1),)
     H, _ = induced_subgraph(G, mask)
-    full = H.full_mask
-    tally = Counter(
-        lambda_partition(_closure_components(reach, full)) for _, reach in _leaves(H)
-    )
+    tally: Counter[tuple[int, ...]] = Counter()
+    for _, reach in _leaves(H):  # lambda_partition of _closure_components, inline
+        sizes, left = [], H.full_mask
+        while left:
+            comp = reach[(left & -left).bit_length() - 1] & left
+            sizes.append(comp.bit_count())
+            left ^= comp
+        sizes.sort(reverse=True)
+        tally[tuple(sizes)] += 1
     return tuple(sorted(tally.items()))
 
 

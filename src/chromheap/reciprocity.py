@@ -1,10 +1,13 @@
 """Counting interpretations of chromatic polynomials at negative arguments.
 
-Every check_* function validates its arguments, counts one side (the
-ranked subset product of the a/b tables, or enumeration grouped by
-coloring), takes the other from a polynomial and hands both to _report.
-Nothing is asserted here; callers inspect the report.  The tuple counts
-build only the tables they read: a for free blocks, b for min-sourced ones.
+Every check_* function validates its arguments, counts one side, takes
+the other from a polynomial and hands both to _report.  Nothing is asserted
+here; callers inspect the report.  The tuple counts are ranked subset
+products of the a/b heap-series tables, and build only the tables they
+read: a for free blocks, b for min-sourced ones.  The Stanley and shifted
+pair counts are ranked subset products too, taken one color class at a time
+over tables of enumerated orientations of each G[S], so they share no
+table with the tuple counts.
 The coefficients of chi(q - j) and chi-hat_d(q + 1) are Taylor
 coefficients P^(i)(x) / i!, which _taylor reads without expanding P(q + x).
 
@@ -25,7 +28,6 @@ from .chromatic import (
     bivariate_polynomial,
     chi_hat,
     chromatic_polynomial,
-    enumerate_colorings,
 )
 from .config import DEFAULT_BUDGET, Budget
 from .errors import (
@@ -46,13 +48,14 @@ from .graphs import (
     vset,
 )
 from .orientations import (
-    AcyclicCounts,
     acyclic_count_table,
     enumerate_acyclic,
-    is_descent_free,
     sink_rooted_histogram,
+    source_component_histogram,
     sources,
-    subgraph_component_histogram,
+    subgraph_acyclic_count,
+    subgraph_acyclic_table,
+    subgraph_component_table,
     unique_source_min_table,
 )
 from .polynomials import Poly
@@ -162,9 +165,13 @@ def check_stanley_reciprocity(
     """Pairs (acyclic orientation, coloring into 1..j with no descent),
     versus (-1)^n chi(-j).
 
-    Pairs are counted grouped by the coloring: for fixed colors the
-    compatible orientations factor into independent acyclic orientations
-    of the color classes, each class counted by direct enumeration.
+    Every arc between two color classes is forced toward the higher color,
+    so a coloring admits exactly the products of acyclic orientations of
+    its classes.  The count sums over the ordered j-tuples of disjoint
+    classes covering V, each class weighted by its enumerated acyclic
+    count: ranked_entry of subgraph_acyclic_table to the power j, its 2^n
+    entries charged first.  At j <= 1 there is one class or none, and no
+    table is built.
     """
     if G.num_edges > 20:
         raise TooManyEdges("descent-free pair count capped at 20 edges")
@@ -172,23 +179,12 @@ def check_stanley_reciprocity(
         raise VertexOutOfRange("j must be nonnegative")
     if j > 5:
         raise ResourceBudgetExceeded("direct pair enumeration capped at j <= 5")
-    acyclic = AcyclicCounts(G)
-    colorings = enumerate_colorings(G, j, 0, budget=budget)
-    count = sum(math.prod(acyclic[mask] for mask in classes) for classes in colorings)
+    if j > 1:
+        count = ranked_entry([(subgraph_acyclic_table(G, budget), j)], G.n)
+    else:
+        count = subgraph_acyclic_count(G, G.full_mask) if j else int(G.n == 0)
     chi = chromatic_polynomial(G, budget=budget)
     return _report("stanley", {"j": j}, count, _sign(G.n) * chi.evaluate(-j))
-
-
-def count_descent_free_pairs_naive(G: Graph, j: int) -> int:
-    """Literal double loop over orientations and colorings (tiny graphs)."""
-    if G.n > NAIVE_MAX_VERTICES:
-        raise TooManyVertices(f"naive pair count capped at n={NAIVE_MAX_VERTICES}")
-    count = 0
-    for o in enumerate_acyclic(G):
-        for f in product(range(1, j + 1), repeat=G.n):
-            if is_descent_free(G, o, f):
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +196,7 @@ def check_greene_zaslavsky(
 ) -> ReciprocityReport:
     """Acyclic orientations with exactly i source components, versus
     (-1)^(n-i) times the coefficient of q^i in chi."""
-    count = dict(subgraph_component_histogram(G, G.full_mask)).get(i, 0)
+    count = source_component_histogram(G).get(i, 0)
     chi = chromatic_polynomial(G, budget=budget)
     return _report("greene_zaslavsky", {"i": i}, count, _sign(G.n - i) * chi.coefficient(i))
 
@@ -210,23 +206,24 @@ def check_shifted_reciprocity(
 ) -> ReciprocityReport:
     """Pairs (gamma, coloring into 1..j+1 with no descent) whose restriction
     of gamma to the lowest color class has exactly i source components,
-    versus (-1)^(n-i) [q^i] chi(q - j)."""
+    versus (-1)^(n-i) [q^i] chi(q - j).
+
+    As in check_stanley_reciprocity the pairs factor over the color
+    classes: the lowest class S is weighted by the orientations of G[S]
+    with i source components (subgraph_component_table), each of the j
+    others by its acyclic count.  The count is ranked_entry of those two
+    enumerated tables, 2^n entries each charged first; at j = 0 the lowest
+    class is V, and no table is built.
+    """
     if G.num_edges > 16:
         raise TooManyEdges("shifted pair count capped at 16 edges")
     if i < 0 or j < 0:
         raise VertexOutOfRange("i and j must be nonnegative")
-    acyclic = AcyclicCounts(G)
-    count = 0
-    with_i: dict[int, int] = {}  # lowest class mask -> orientations with i components
-    for classes in enumerate_colorings(G, j + 1, 0, budget=budget):
-        low = classes[0]
-        prod = with_i.get(low)
-        if prod is None:
-            prod = with_i[low] = dict(subgraph_component_histogram(G, low)).get(i, 0)
-        if prod:
-            for mask in classes[1:]:
-                prod *= acyclic[mask]
-            count += prod
+    if j:
+        low = subgraph_component_table(G, i, budget)
+        count = ranked_entry([(low, 1), (subgraph_acyclic_table(G, budget), j)], G.n)
+    else:
+        count = source_component_histogram(G).get(i, 0)
     chi = chromatic_polynomial(G, budget=budget)
     return _report("shifted_chromatic", {"i": i, "j": j}, count, _sign(G.n - i) * _taylor(chi, i, -j))
 

@@ -13,7 +13,8 @@ nonnegative tables at once, by ranked zeta and Moebius transforms over
 packed integers (Bjorklund, Husfeldt, Kaski, Koivisto, Fourier meets
 Moebius: fast subset convolution, 2007): about n 2^n big-int additions
 and log k products per subset.  The reciprocity checks count their block
-tuples with it, and chromatic.count_independent_tuples its colorings.
+tuples and descent-free pairs with it, chromatic.count_independent_tuples
+its colorings, and count_proper_colorings the size of its walk.
 
 zeta and moebius are the one lattice walk that the ranked product,
 orientations._heap_table and the small heap-series check in

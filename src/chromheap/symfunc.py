@@ -18,7 +18,8 @@ of acyclic orientations.  Color 0, where the identity has it, marks a block
 weighted by p_lambda of its acyclic orientations in the remaining alphabet
 (y in the split-alphabet identity, w in the three-alphabet one).
 _IDENTITIES writes this down once per identity, with its caps; its
-algebraic side, its grouped side and its literal reference all read it.
+algebraic side, its grouped side and the literal reference in the tests
+all read it.
 """
 
 from __future__ import annotations
@@ -27,23 +28,16 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from typing import Callable, Mapping, Sequence
 
 from .chromatic import enumerate_colorings
 from .config import DEFAULT_BUDGET, Budget, charge
 from .errors import InternalInvariantViolation, NonIntegerResult, ResourceBudgetExceeded, VertexOutOfRange
-from .graphs import Graph, blowup, components, graph_cached, induced_subgraph
+from .graphs import Graph, blowup, components, graph_cached, independence_table, induced_subgraph
 from .orientations import (
-    AcyclicCounts,
-    Orientation,
-    acyclic_orientation_list,
-    is_descent_free,
     lambda_histogram,
-    lambda_partition,
-    restrict_orientation,
-    source_components,
+    subgraph_acyclic_table,
     subgraph_lambda_tally,
     unique_source_min_table,
 )
@@ -518,21 +512,13 @@ def _lambda_weight(G: Graph, mask: int, nvars: int, lo: int, hi: int) -> MultiPo
     expanded in variable slots lo..hi-1."""
     acc: dict[int, object] = {}
     for lam, cnt in subgraph_lambda_tally(G, mask):
-        _add_shifted(acc, _expand_partition(lam, nvars, lo, hi), 0, cnt)
+        _add_shifted(acc, _expand_partition(lam, nvars, lo, hi)._packed, 0, cnt)
     return MultiPoly._of(nvars, acc, mask.bit_count())
 
 
-def _restriction_lambda(G: Graph, o: Orientation, mask: int) -> tuple[int, ...]:
-    """Source-component size partition of an orientation restricted to G[mask]."""
-    if mask == 0:
-        return ()
-    H, _ = induced_subgraph(G, mask)
-    return lambda_partition(source_components(H, restrict_orientation(G, o, mask)))
-
-
-def _add_shifted(acc: dict, weight: MultiPoly, base: int, factor: int) -> None:
-    """acc += factor * weight * the packed monomial base, into a packed map."""
-    for e, v in weight._packed.items():
+def _add_shifted(acc: dict, weight: dict, base: int, factor: int) -> None:
+    """acc += factor * weight * the packed monomial base, both packed maps."""
+    for e, v in weight.items():
         key = e + base
         s = acc.get(key, 0) + factor * v
         if s:
@@ -562,65 +548,58 @@ _IDENTITIES: dict[str, tuple[Callable[..., tuple], tuple[str, ...], int, int]] =
 
 
 def _grouped_side(G: Graph, identity: str, *sizes: int, budget: Budget) -> MultiPoly:
-    """Orientation side of an identity, summed over colorings.
+    """Orientation side of an identity, summed one color class at a time.
 
     Descent-freeness forces every arc between distinct color classes, so a
     coloring admits exactly the products of acyclic orientations of its
-    classes.  Walk colors: the ny y colors (proper), then color 0 if the
-    identity has it, then the nz z colors.
+    classes: the side is a sum over ordered tuples of disjoint classes, a
+    subset-lattice sum (Bjorklund, Husfeldt, Kaski, Koivisto, Fourier meets
+    Moebius, 2007).  Colors run over the ny y colors, color 0 if the
+    identity has it, then the nz z colors, and fold from last to first.
+    F[T], a packed map, sums the weights of the colorings of exactly T by
+    the colors folded so far, from F[empty] = 1.  A color adds a class S
+    outside T: a y color an independent S, keyed |S| in its slot; color 0
+    any S, weighted by _lambda_weight; a z color any S, weighted by
+    acyclic[S] and keyed |S| in its slot.  The first color takes only the
+    S that completes V.
+
+    The (T, S) pairs are charged first: 2^n for the last color, 3^n for
+    each middle one and 2^n for the first, or one for a lone color.
     """
     nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
-    first_z = ny + (zero is not None)
-    y_shifts = range(0, MultiPoly.WIDTH * ny, MultiPoly.WIDTH)
-    z_shifts = range(MultiPoly.WIDTH * z, MultiPoly.WIDTH * (z + nz), MultiPoly.WIDTH)
-    acyclic = AcyclicCounts(G)
-    acc: dict[int, object] = {}
-    for classes in enumerate_colorings(G, first_z + nz, ny, budget=budget):
-        key = 0
-        for mask, shift in zip(classes, y_shifts):
-            key += mask.bit_count() << shift
-        w = 1
-        for mask, shift in zip(classes[first_z:], z_shifts):
-            key += mask.bit_count() << shift
-            w *= acyclic[mask]
-        if zero is None:  # weights are positive, so no sum cancels
-            acc[key] = acc.get(key, 0) + w
-            continue
-        _add_shifted(acc, _lambda_weight(G, classes[ny], nvars, *zero), key, w)
-    return MultiPoly._of(nvars, acc, G.n)
+    n, full, width = G.n, G.full_mask, MultiPoly.WIDTH
+    colors = ny + (zero is not None) + nz
+    pairs = colors if colors < 2 else 2 ** (n + 1) + (colors - 2) * 3 ** n
+    charge("coloring fold", pairs, budget.enumeration_limit)
+    independent = independence_table(G)
+    acyclic = subgraph_acyclic_table(G, budget) if nz else ()
+    sets = range(1 << n)
 
+    def weights(c: int) -> list:
+        """The packed weight of each class S of color c; None where S may
+        not take c."""
+        if c < ny:
+            return [{S.bit_count() << width * c: 1} if independent[S] else None for S in sets]
+        if c == ny and zero is not None:
+            return [_lambda_weight(G, S, nvars, *zero)._packed for S in sets]
+        shift = width * (z + c - (colors - nz))
+        return [{S.bit_count() << shift: acyclic[S]} for S in sets]
 
-def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
-    """Orientation side of an identity (a key of _IDENTITIES, with the sizes
-    identity_sides takes) as the literal sum over descent-free (acyclic
-    orientation, coloring) pairs, colors ordered -ny..-1, 0, 1..nz: the
-    reference the grouped route is tested against on small graphs."""
-    nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
-    palette = list(range(-ny, 0)) + [0] * (zero is not None) + list(range(1, nz + 1))
-    one = MultiPoly.constant(nvars)
-    acc: dict[int, object] = {}
-    for o in acyclic_orientation_list(G):
-        for f in product(palette, repeat=G.n):
-            if not is_descent_free(G, o, f):
-                continue
-            if any(f[u - 1] == f[v - 1] < 0 for u, v in G.edges):
-                continue  # a y class must be independent
-            key = [0] * nvars
-            zero_block = 0
-            for pos, c in enumerate(f):
-                if c < 0:
-                    key[-c - 1] += 1
-                elif c > 0:
-                    key[z + c - 1] += 1
-                else:
-                    zero_block |= 1 << pos
-            if zero is None:
-                weight = one
-            else:
-                lam = _restriction_lambda(G, o, zero_block)
-                weight = _expand_partition(lam, nvars, *zero)
-            _add_shifted(acc, weight, MultiPoly.pack(key), 1)
-    return MultiPoly._of(nvars, acc, G.n)
+    F = {0: {0: 1}}
+    for c in reversed(range(colors)):
+        w, out = weights(c), {}
+        for T, tail in F.items():
+            rest = S = full ^ T
+            while True:
+                if w[S]:
+                    acc = out.setdefault(S | T, {})
+                    for key, m in w[S].items():
+                        _add_shifted(acc, tail, key, m)
+                if not S or not c:
+                    break
+                S = (S - 1) & rest
+        F = out
+    return MultiPoly._of(nvars, F.get(full, {}), n)
 
 
 def _alphabet_image(nvars: int, ny: int, k: int) -> MultiPoly:
@@ -639,8 +618,8 @@ def identity_sides(
     being slots 0..ny-1 of the layout: X_G(y - z) for superfication,
     X_G(y - (z + w)) for the three-alphabet identity, and at ny = 0,
     omega(X_G) in all the slots (the descent expansion, and the split
-    alphabet's omega(X_G)(y + z)).  The orientation side's coloring walk is
-    charged before X_G is computed.
+    alphabet's omega(X_G)(y + z)).  The orientation side's fold is charged
+    before X_G is computed.
     """
     layout, _, cap, nmax = _IDENTITIES[identity]
     if any(s < 0 for s in sizes):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import pytest
@@ -14,8 +17,16 @@ from chromheap.families import (
     path_graph,
     star_graph,
 )
-from chromheap.graphs import Graph, from_edge_list
+from chromheap.graphs import Graph, from_edge_list, induced_subgraph
+from chromheap.errors import VertexOutOfRange
+from chromheap.orientations import (
+    Orientation,
+    acyclic_orientation_list,
+    lambda_partition,
+    source_components,
+)
 from chromheap.series import TruncatedSeries
+from chromheap.symfunc import _IDENTITIES, MultiPoly
 
 
 @pytest.fixture
@@ -55,6 +66,22 @@ def graphs(draw, max_n: int = 6) -> Graph:
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return from_edge_list(n, picks)
+
+
+def seeded_graph(n: int, m: int, seed: int) -> Graph:
+    """G(n, m) [seed]: m edges by random.Random(seed).sample from the pairs
+    (u, v), u < v, in lexicographic order."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return from_edge_list(n, random.Random(seed).sample(pairs, m))
+
+
+# every n <= 5, the empty graph included, with a third of its possible
+# edges rounded down and with two thirds rounded up
+SEEDED_SMALL = [
+    seeded_graph(n, m, seed)
+    for n in range(6)
+    for seed, m in enumerate(sorted({n * (n - 1) // 6, -(-n * (n - 1) // 3)}))
+]
 
 
 @st.composite
@@ -123,3 +150,95 @@ def power(f: Sequence[int], k: int, n: int) -> list[int]:
         if k:
             base = convolve(base, base, n)
     return identity(n) if result is None else result
+
+
+# Literal sums over (acyclic orientation, coloring) pairs, kept as the
+# references that the class-by-class counting sides of reciprocity and
+# symfunc are tested against.  They share the identity layouts and the
+# MultiPoly container with those sides, and nothing else.
+
+
+def restrict_orientation(G: Graph, o: Orientation, mask: int) -> Orientation:
+    """Restriction of an orientation to G[mask], in the induced numbering."""
+    H, labels = induced_subgraph(G, mask)
+    direction = {}
+    for e, (u, v) in enumerate(G.edges):
+        direction[(u, v)] = o.bits >> e & 1
+    bits = 0
+    for e, (u, v) in enumerate(H.edges):
+        ou, ov = labels[u - 1], labels[v - 1]
+        bits |= direction[(ou, ov)] << e
+    return Orientation(H.edges, bits)
+
+
+def is_descent_free(G: Graph, o: Orientation, coloring: Sequence[int]) -> bool:
+    """True iff colors never decrease along arcs; coloring[v-1] colors vertex v."""
+    if len(coloring) != G.n:
+        raise VertexOutOfRange(f"coloring has length {len(coloring)}, need {G.n}")
+    for t, h in o.arcs:
+        if coloring[t - 1] > coloring[h - 1]:
+            return False
+    return True
+
+
+def restriction_lambda(G: Graph, o: Orientation, mask: int) -> tuple[int, ...]:
+    """Source-component size partition of an orientation restricted to G[mask]."""
+    if mask == 0:
+        return ()
+    H, _ = induced_subgraph(G, mask)
+    return lambda_partition(source_components(H, restrict_orientation(G, o, mask)))
+
+
+def count_descent_free_pairs_naive(G: Graph, j: int) -> int:
+    """Descent-free pairs (acyclic orientation, coloring into 1..j)."""
+    return sum(
+        is_descent_free(G, o, f)
+        for o in acyclic_orientation_list(G)
+        for f in product(range(1, j + 1), repeat=G.n)
+    )
+
+
+def count_shifted_pairs_naive(G: Graph, i: int, j: int) -> int:
+    """Descent-free pairs (gamma, coloring into 1..j+1) whose restriction of
+    gamma to the class of color 1 has exactly i source components."""
+    count = 0
+    for o in acyclic_orientation_list(G):
+        for f in product(range(1, j + 2), repeat=G.n):
+            if is_descent_free(G, o, f):
+                low = sum(1 << v for v, c in enumerate(f) if c == 1)
+                count += len(restriction_lambda(G, o, low)) == i
+    return count
+
+
+def orientation_side_naive(G: Graph, identity: str, *sizes: int) -> MultiPoly:
+    """Orientation side of an identity (a key of symfunc._IDENTITIES, with
+    the sizes identity_sides takes) as the literal sum over descent-free
+    (acyclic orientation, coloring) pairs, colors ordered -ny..-1, 0,
+    1..nz, each y class independent."""
+    nvars, ny, z, nz, zero = _IDENTITIES[identity][0](*sizes)
+    palette = list(range(-ny, 0)) + [0] * (zero is not None) + list(range(1, nz + 1))
+    tally: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+    for o in acyclic_orientation_list(G):
+        for f in product(palette, repeat=G.n):
+            if not is_descent_free(G, o, f):
+                continue
+            if any(f[u - 1] == f[v - 1] < 0 for u, v in G.edges):
+                continue
+            key = [0] * nvars
+            zero_block = 0
+            for pos, c in enumerate(f):
+                if c < 0:
+                    key[-c - 1] += 1
+                elif c > 0:
+                    key[z + c - 1] += 1
+                else:
+                    zero_block |= 1 << pos
+            lam = () if zero is None else restriction_lambda(G, o, zero_block)
+            tally[tuple(key), lam] += 1
+    total = MultiPoly(nvars)
+    for (key, lam), count in tally.items():
+        term = MultiPoly(nvars, {key: count})
+        for part in lam:  # p_lambda in the color-0 slots
+            term = term * MultiPoly.power_sum(nvars, part, *zero)
+        total = total + term
+    return total

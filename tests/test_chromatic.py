@@ -351,6 +351,23 @@ def test_subset_table_is_charged_before_it_is_built(c4):
         call(Budget(memo_entries=16))
 
 
+def test_proper_coloring_walk_is_charged_its_exact_size():
+    # K8 at 8 colors is 8^8 > 8,000,000 by the plain bound, but its walk
+    # places 8 + 8*7 + ... + 8! = 109,600 vertex colors, 8! of them at the
+    # last vertex
+    k8 = complete_graph(8)
+    steps = sum(math.perm(8, d) for d in range(1, 9))
+    assert count_proper_colorings(k8, 8) == math.factorial(8)
+    assert count_proper_colorings(k8, 8, Budget(enumeration_limit=steps)) == math.factorial(8)
+    with pytest.raises(ResourceBudgetExceeded, match=f"enumeration needs {steps} > budget {steps - 1}"):
+        count_proper_colorings(k8, 8, Budget(enumeration_limit=steps - 1))
+    # K9 has no 8-coloring, yet the walk still colors its first 8 vertices
+    # every way: the charge counts them, not the zero leaves
+    with pytest.raises(ResourceBudgetExceeded, match=f"enumeration needs {steps} > budget {steps - 1}"):
+        count_proper_colorings(complete_graph(9), 8, Budget(enumeration_limit=steps - 1))
+    assert count_proper_colorings(complete_graph(9), 8) == 0
+
+
 def test_negative_derivative_order_is_rejected():
     with pytest.raises(VertexOutOfRange, match="nonnegative, got -1"):
         Poly((0, -3, 6, -4, 1)).derivative(-1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from chromheap.config import Budget
 from chromheap.errors import CyclicOrientation, NotAdjacent, ResourceBudgetExceeded
 from chromheap.families import complete_graph, path_graph
-from chromheap.graphs import from_edge_list, independence_table, induced_subgraph, iter_vertices, vset
+from chromheap.graphs import components, from_edge_list, independence_table, induced_subgraph, iter_vertices, vset
 from chromheap.orientations import (
     _closure_components,
     _closure_sinks,
@@ -23,21 +23,23 @@ from chromheap.orientations import (
     count_bipolar,
     enumerate_acyclic,
     is_acyclic,
-    is_descent_free,
     lambda_histogram,
     lambda_partition,
-    restrict_orientation,
     sinks,
     source_component_histogram,
     source_components,
     sources,
     subgraph_acyclic_count,
+    subgraph_acyclic_table,
+    subgraph_component_histogram,
+    subgraph_component_table,
+    subgraph_lambda_tally,
     subgraph_source_mask_tally,
     subgraph_unique_source_count,
     unique_source_min_table,
 )
 
-from conftest import graphs
+from conftest import SEEDED_SMALL, graphs, is_descent_free, restrict_orientation
 
 
 def test_c4_has_14_acyclic_orientations(c4):
@@ -94,6 +96,23 @@ def test_lambda_histogram_c4(c4):
 
 def test_lambda_partition_sorts_block_sizes():
     assert lambda_partition((vset([1, 3]), vset([2]), vset([4, 5, 6]))) == (3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "g", SEEDED_SMALL + [from_edge_list(6, [(1, 2), (2, 3), (4, 5)])], ids=lambda g: f"n{g.n}m{g.num_edges}"
+)
+def test_enumerated_tables_walk_only_connected_subgraphs(g):
+    g = from_edge_list(g.n, g.edges)  # a fresh memo
+    table = subgraph_acyclic_table(g)
+    # the table walked each nonempty connected G[S] once, and no other
+    walked = {key[1] for key in g._memo if key[0] is subgraph_lambda_tally.__wrapped__}
+    connected = {S for S in range(1, 1 << g.n) if len(components(induced_subgraph(g, S)[0])) == 1}
+    assert walked == connected
+    assert list(table) == [subgraph_acyclic_count(g, S) for S in range(1 << g.n)]
+    # the i-component counts multiply histograms packed at x = 2^(m+1)
+    for i in (*range(g.n + 2), 10**6):
+        want = [dict(subgraph_component_histogram(g, S)).get(i, 0) for S in range(1 << g.n)]
+        assert list(subgraph_component_table(g, i)) == want
 
 
 def test_tables_match_enumeration(c4):

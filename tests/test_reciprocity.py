@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromheap import reciprocity
 from chromheap.chromatic import chi_hat, chromatic_polynomial
-from chromheap.errors import BadLabeling, Disconnected, NotAClique, VertexOutOfRange
+from chromheap.config import Budget
+from chromheap.errors import BadLabeling, Disconnected, NotAClique, ResourceBudgetExceeded, VertexOutOfRange
 from chromheap.families import complete_graph, cycle_graph, path_graph, seeded_family, star_graph
 from chromheap.graphs import ascending_relabel, from_edge_list, is_clique, is_connected, vset
 from chromheap.orientations import (
@@ -32,9 +34,15 @@ from chromheap.reciprocity import (
     check_stanley_reciprocity,
     count_bivariate_tuples_naive,
     count_block_tuples_naive,
-    count_descent_free_pairs_naive,
 )
-from conftest import convolve, graphs, power
+from conftest import (
+    SEEDED_SMALL,
+    convolve,
+    count_descent_free_pairs_naive,
+    count_shifted_pairs_naive,
+    graphs,
+    power,
+)
 
 
 def test_derivative_check_c4(c4):
@@ -120,6 +128,32 @@ def test_stanley_matches_naive_and_block_route(g, j):
     assert r.equal
     assert r.count == count_descent_free_pairs_naive(g, j)
     assert r.count == check_derivative_reciprocity(g, 0, j).count
+
+
+@pytest.mark.parametrize("g", SEEDED_SMALL, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_pair_counts_match_the_literal_pair_sums(g):
+    for j in range(5):
+        r = check_stanley_reciprocity(g, j)
+        assert r.equal and r.count == count_descent_free_pairs_naive(g, j)
+    for i in range(3):
+        for j in range(3):
+            r = check_shifted_reciprocity(g, i, j)
+            assert r.equal and r.count == count_shifted_pairs_naive(g, i, j)
+
+
+def test_pair_tables_are_charged_before_chi(c4, monkeypatch):
+    # Stanley at j >= 2 and the shifted count at j >= 1 read 2^4-entry
+    # enumerated tables of C4: 16 memo entries admit them, 15 refuse
+    # before chi is computed
+    checks = [(check_stanley_reciprocity, (2,)), (check_shifted_reciprocity, (1, 1))]
+    for check, args in checks:
+        assert check(c4, *args, budget=Budget(memo_entries=16)).equal
+    calls = []
+    monkeypatch.setattr(reciprocity, "chromatic_polynomial", lambda *args, **kw: calls.append(args))
+    for check, args in checks:
+        with pytest.raises(ResourceBudgetExceeded, match="table entries needs 16 > budget 15"):
+            check(c4, *args, budget=Budget(memo_entries=15))
+    assert calls == []
 
 
 def test_greene_zaslavsky_c4(c4):

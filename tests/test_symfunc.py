@@ -8,7 +8,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -38,7 +38,6 @@ from chromheap.symfunc import (
     multicolor_csf_from_colorings,
     omega,
     orientation_lambda_tally,
-    orientation_side_naive,
     specialize_p_to_q,
     specialize_p_to_value,
     substitute_power_sums,
@@ -49,7 +48,7 @@ from chromheap.symfunc import (
     verify_superfication,
 )
 
-from conftest import graphs
+from conftest import SEEDED_SMALL, graphs, orientation_side_naive
 
 
 # --- PPoly basics ---------------------------------------------------------
@@ -292,17 +291,41 @@ def test_ny_zero_image_is_omega_then_expansion(g, ny, nz):
 
 
 def test_coloring_charge_refuses_before_x_g(c4, monkeypatch):
-    # three colors on C4 walk exactly 3^4 = 81 colorings, and X_G takes
-    # (3^4 - 1)/2 = 40 steps, so only the coloring charge refuses 80
+    # three colors on C4 fold 2^4 (R, S) pairs for the last color, 3^4 for
+    # the middle one and 2^4 for the first, 113 in all, and X_G takes
+    # (3^4 - 1)/2 = 40 steps, so only the fold's charge refuses 112
     def budget(limit):
         return DEFAULT_BUDGET.with_overrides(enumeration_limit=limit)
 
-    assert identity_sides(c4, "descent_expansion", 3, budget=budget(81))
+    assert identity_sides(c4, "descent_expansion", 3, budget=budget(113))
+    # a lone color folds one pair, and no color none
+    assert symfunc._grouped_side(c4, "descent_expansion", 1, budget=budget(1)).terms == {(4,): 14}
+    assert not symfunc._grouped_side(c4, "descent_expansion", 0, budget=budget(0))
     calls = []
     monkeypatch.setattr(symfunc, "csf_powersum", lambda *args: calls.append(args))
-    with pytest.raises(ResourceBudgetExceeded, match="coloring enumeration needs 81 > budget 80"):
-        identity_sides(c4, "descent_expansion", 3, budget=budget(80))
+    with pytest.raises(ResourceBudgetExceeded, match="coloring fold needs 113 > budget 112"):
+        identity_sides(c4, "descent_expansion", 3, budget=budget(112))
     assert calls == []
+
+
+def test_descent_expansion_answers_at_its_caps():
+    # eight colors on eight vertices were 8^8 colorings, over the default
+    # budget; the fold takes 2 * 2^8 + 6 * 3^8 = 39,878 pairs
+    g = from_edge_list(8, [(v, v + 1) for v in range(1, 8)] + [(1, 8), (1, 5)])
+    assert verify_descent_expansion(g, 8).equal
+    # K8's 28 edges are past the tally's 26-edge cap, so its acyclic
+    # orientations are counted by the plain walk, as before
+    for N in (1, 8):
+        assert verify_descent_expansion(complete_graph(8), N).equal
+
+
+@pytest.mark.parametrize("g", SEEDED_SMALL, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_grouped_sides_match_the_literal_pair_sums(g):
+    # every identity at every alphabet size up to 2, 0 included
+    for identity, (_, names, _, _) in symfunc._IDENTITIES.items():
+        for sizes in product(range(3), repeat=len(names)):
+            _, rhs = identity_sides(g, identity, *sizes)
+            assert rhs == orientation_side_naive(g, identity, *sizes), (identity, sizes)
 
 
 def test_identity_caps_refuse_past_the_table(c4):
